@@ -142,17 +142,42 @@ let table2_demo_source =
       return 0;
     }|}
 
+(* Turn on the monitor's flight recorder, so every checked call leaves
+   a "[<syscall>] <summary>" note in its coordinator ring. *)
+let record_notes sys =
+  Nv_util.Trace.set_enabled (Monitor.trace_session (Nsystem.monitor sys)) true
+
+(* The recorded notes, oldest first, as (syscall name, summary) pairs. *)
+let notes sys =
+  let module Trace = Nv_util.Trace in
+  let split text =
+    let close = String.index text ']' in
+    ( String.sub text 1 (close - 1),
+      String.sub text (close + 2) (String.length text - close - 2) )
+  in
+  List.concat_map
+    (fun ring ->
+      if Trace.ring_name ring <> "coordinator" then []
+      else
+        List.filter_map
+          (fun e ->
+            match e.Trace.kind with Trace.Note text -> Some (split text) | _ -> None)
+          (Trace.events ring))
+    (Trace.rings (Monitor.trace_session (Nsystem.monitor sys)))
+
 let run_table2_demo () =
   let sys =
     Nsystem.of_one_image ~variation:Variation.uid_diversity
       (Nv_minic.Codegen.compile_source table2_demo_source)
   in
-  let events = ref [] in
-  Monitor.set_tracer (Nsystem.monitor sys) (fun e ->
-      if Nv_os.Syscall.is_detection_call e.Monitor.ev_syscall then
-        events := (Nv_os.Syscall.name e.Monitor.ev_syscall, e.Monitor.ev_note) :: !events);
+  record_notes sys;
   let outcome = Nsystem.run sys in
-  (outcome, List.rev !events)
+  let detection name =
+    List.exists
+      (fun (n, sg) -> Nv_os.Syscall.is_detection_call n && sg.Nv_os.Syscall.name = name)
+      Nv_os.Syscall.all
+  in
+  (outcome, List.filter (fun (name, _) -> detection name) (notes sys))
 
 let report_table2 () =
   section "Table 2: Detection System Calls";
@@ -251,11 +276,11 @@ let report_figure1 () =
 (* Figure 2: data diversity at the interpreter boundaries              *)
 (* ------------------------------------------------------------------ *)
 
-let run_figure2 collect =
+let run_figure2 () =
   match Deploy.build Deploy.Two_variant_uid with
   | Error e -> failwith e
   | Ok sys ->
-    Monitor.set_tracer (Nsystem.monitor sys) collect;
+    record_notes sys;
     (match Nsystem.serve sys (Nv_httpd.Http.get "/") with
     | Nsystem.Served _ -> ()
     | Nsystem.Stopped _ -> failwith "figure2: serving failed");
@@ -266,15 +291,12 @@ let report_figure2 () =
   print_endline
     "one request through the case-study server under the UID variation;\n\
      every rendezvous shows the canonicalization the monitor performed:";
-  let events = ref [] in
-  let sys = run_figure2 (fun e -> events := e :: !events) in
+  let sys = run_figure2 () in
   let interesting = [ "open"; "read"; "seteuid"; "geteuid"; "cc_eq"; "write"; "uid_value" ] in
   List.iteri
-    (fun i e ->
-      let name = Nv_os.Syscall.name e.Monitor.ev_syscall in
-      if List.mem name interesting && i < 40 then
-        Printf.printf "  [%s] %s\n" name e.Monitor.ev_note)
-    (List.rev !events);
+    (fun i (name, note) ->
+      if List.mem name interesting && i < 40 then Printf.printf "  [%s] %s\n" name note)
+    (notes sys);
   let stats = Monitor.stats (Nsystem.monitor sys) in
   Printf.printf
     "monitor counters: %d rendezvous; %s instructions; %d input bytes replicated; %d \

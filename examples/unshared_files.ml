@@ -10,6 +10,7 @@ module Variation = Nv_core.Variation
 module Monitor = Nv_core.Monitor
 module Nsystem = Nv_core.Nsystem
 module Vfs = Nv_os.Vfs
+module Trace = Nv_util.Trace
 
 let program =
   {|uid_t found;
@@ -43,12 +44,25 @@ let () =
     | Error e -> failwith e
   in
   let sys = Nsystem.create ~vfs ~variation images in
-  Monitor.set_tracer (Nsystem.monitor sys) (fun e ->
-      match Nv_os.Syscall.name e.Monitor.ev_syscall with
-      | ("open" | "read" | "seteuid") as name ->
-        Format.printf "  [%s] %s@." name e.Monitor.ev_note
-      | _ -> ());
-  (match Nsystem.run sys with
+  (* The flight recorder's coordinator ring keeps one
+     "[<syscall>] <summary>" note per checked call. *)
+  let session = Monitor.trace_session (Nsystem.monitor sys) in
+  Trace.set_enabled session true;
+  let outcome = Nsystem.run sys in
+  List.iter
+    (fun ring ->
+      if Trace.ring_name ring = "coordinator" then
+        List.iter
+          (fun e ->
+            match e.Trace.kind with
+            | Trace.Note text -> (
+              match String.sub text 1 (String.index text ']' - 1) with
+              | "open" | "read" | "seteuid" -> Format.printf "  %s@." text
+              | _ -> ())
+            | _ -> ())
+          (Trace.events ring))
+    (Trace.rings session);
+  (match outcome with
   | Monitor.Exited 0 -> print_endline "exited 0"
   | other ->
     Format.printf "unexpected: %s@."

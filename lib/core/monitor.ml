@@ -13,8 +13,6 @@ module Trace = Nv_util.Trace
 
 type outcome = Exited of int | Alarm of Alarm.reason | Blocked_on_accept | Out_of_fuel
 
-type event = { ev_syscall : int; ev_raw_args : int array array; ev_note : string }
-
 type signal_mode = Immediate of { after_instructions : int } | At_rendezvous
 
 type pending_signal = {
@@ -30,16 +28,13 @@ type pending_signal = {
    (the latency stream is reconstructed from these, exactly as an
    eager rendezvous would have observed it); [rc_c0]/[rc_c1] are the
    canonicalized (reexpression-decoded) argument images the coordinator
-   compares; [rc_raw] carries the five raw argument registers only
-   when a tracer is installed (the trace events must be identical to
-   the eager engine's). *)
+   compares. *)
 type relaxed_record = {
   rc_number : int;
   rc_retired : int;
   rc_a0 : int;
   rc_c0 : int;
   rc_c1 : int;
-  rc_raw : int array;
 }
 
 (* Why a variant stopped running and handed control back to the
@@ -58,7 +53,7 @@ type arrival =
    while released, each variant's [Image.loaded] (CPU, memory, icache)
    plus its own [delivered.(i)] slot are owned by the domain pinned to
    that variant; everything else — the kernel, the metrics registry,
-   [t.signal], the tracer, the metric-handle caches, [canon_scratch],
+   [t.signal], the metric-handle caches, [canon_scratch],
    the [deferred] queues and [arrivals] — is only ever touched by the
    coordinator domain, between rounds. A released variant performs no
    [Metrics] mutation and never clears [t.signal]; the coordinator
@@ -71,10 +66,9 @@ type t = {
   variation : Variation.t;
   variants : Image.loaded array;
   parallel : bool;  (* pin each variant to its own domain during run *)
-  mutable tracer : (event -> unit) option;
   mutable signal : pending_signal option;
   (* Fault-injection hook: perturb the replicated bytes a shared read
-     delivers to one variant (coordinator-only, like the tracer). *)
+     delivers to one variant (coordinator-only). *)
   mutable input_fault : (variant:int -> string -> string) option;
   metrics : Metrics.t;
   calls_scope : Metrics.scope;
@@ -163,7 +157,6 @@ let create ?metrics ?parallel ?engine
     variation;
     variants;
     parallel;
-    tracer = None;
     signal = None;
     input_fault = None;
     metrics;
@@ -258,8 +251,6 @@ let stats t =
     st_relaxed_checks = Metrics.counter_value t.relaxed_checks_c;
   }
 
-let set_tracer t f = t.tracer <- Some f
-
 let set_input_fault t f = t.input_fault <- f
 
 let trace_session t = t.trace
@@ -275,6 +266,13 @@ exception Alarm_exn of Alarm.reason
    the hardware would raise on copy_from_user. *)
 exception Marshal_fault of { variant : int; fault : Cpu.fault }
 
+(* Run a guest-memory access made on behalf of variant [i], turning a
+   memory fault into that variant's [Marshal_fault]. *)
+let marshal i f =
+  try f ()
+  with Memory.Fault { addr; access } ->
+    raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } })
+
 (* Every equivalence check passes through here so the checks.performed /
    checks.failed pair stays consistent with the alarm stream. *)
 let check t ~fail cond =
@@ -283,6 +281,11 @@ let check t ~fail cond =
     Metrics.incr t.checks_failed;
     raise (Alarm_exn (fail ()))
   end
+
+(* The check every rendezvous — full, deferred or hybrid — starts with:
+   all variants are making the same call. *)
+let check_numbers t numbers =
+  check t ~fail:(fun () -> Alarm.Syscall_mismatch { numbers }) (all_equal numbers)
 
 let uid_spec t i = t.variation.Variation.variants.(i).Variation.uid
 
@@ -339,12 +342,8 @@ let canon_ptr t ~raws ~syscall ~index =
   let scratch = t.canon_scratch in
   Array.iteri
     (fun i (r : Sysabi.raw) ->
-      let addr = r.Sysabi.args.(index) in
       let memory = t.variants.(i).Image.memory in
-      match Memory.to_offset memory addr with
-      | offset -> scratch.(i) <- offset
-      | exception Memory.Fault { addr; access } ->
-        raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } }))
+      scratch.(i) <- marshal i (fun () -> Memory.to_offset memory r.Sysabi.args.(index)))
     raws;
   check_scratch t ~syscall ~index;
   Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(index)) raws
@@ -358,10 +357,7 @@ let canon_string t ~raws ~syscall ~index =
     Array.mapi
       (fun i (r : Sysabi.raw) ->
         let memory = t.variants.(i).Image.memory in
-        match Sysabi.read_string memory ~addr:r.Sysabi.args.(index) with
-        | s -> s
-        | exception Memory.Fault { addr; access } ->
-          raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } }))
+        marshal i (fun () -> Sysabi.read_string memory ~addr:r.Sysabi.args.(index)))
       raws
   in
   check t
@@ -384,32 +380,28 @@ let deliver t per_variant_results =
 let deliver_same t result =
   Array.iter (fun v -> Sysabi.set_result v.Image.cpu result) t.variants
 
-(* Dispatch-time breadcrumbs go two ways: the legacy [set_tracer]
-   callback (raw argument images included) and, when the flight
-   recorder is on, a [Note] in the coordinator ring. Both run on the
-   coordinating domain at points where every variant is parked, so the
+(* Copy kernel-produced bytes into each variant's buffer. *)
+let copy_out t ~bufs chunks =
+  Array.iteri
+    (fun i buf ->
+      let memory = t.variants.(i).Image.memory in
+      marshal i (fun () -> Sysabi.write_bytes memory ~addr:buf chunks.(i)))
+    bufs
+
+(* Rendezvous breadcrumbs: a [Note] in the coordinator ring, formatted
+   only when the flight recorder is on. Notes are made on the
+   coordinating domain while every variant is parked, so the
    retired-total timestamp is mode-independent. *)
-let trace t ~syscall ~raws note =
-  (if Trace.enabled t.trace then
-     Trace.note t.trace_coord ~ts:(instructions_retired t)
-       (Printf.sprintf "[%s] %s" (Syscall.name syscall) note));
-  match t.tracer with
-  | None -> ()
-  | Some f ->
-    f
-      {
-        ev_syscall = syscall;
-        ev_raw_args = Array.map (fun (r : Sysabi.raw) -> Array.copy r.Sysabi.args) raws;
-        ev_note = note;
-      }
+let note t ~ts syscall text =
+  Trace.note t.trace_coord ~ts (fun () ->
+      Printf.sprintf "[%s] %s" (Syscall.name syscall) (text ()))
 
 (* ------------------------------------------------------------------ *)
 (* Relaxed monitoring                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The cc_eq .. cc_geq comparison on canonical values; shared between
-   the eager dispatch path and the relaxed engine so both compute the
-   identical result. *)
+   a variant's own result and the coordinator's note. *)
 let cc_compute n a b =
   if n = Syscall.sys_cc_eq then a = b
   else if n = Syscall.sys_cc_neq then a <> b
@@ -419,14 +411,15 @@ let cc_compute n a b =
   else not (Word.lt_unsigned a b)
 
 (* Execute a relaxed syscall locally for variant [i] and return the
-   record the coordinator will cross-check later. Runs on the variant's
-   domain: [cred] is the coordinator's snapshot of the kernel
-   credentials (stable for the whole release — every credential
-   mutation is a Sensitive call, which parks all variants first), and
-   everything touched is variant-[i]-owned per the concurrency
-   discipline. The result each variant computes is exactly what the
-   eager dispatch would have delivered to it. *)
-let relaxed_call t i ~cred ~trace_args n =
+   record the coordinator will cross-check later — the only code that
+   executes a relaxed call. Runs on whichever domain owns variant [i]:
+   its pinned domain during a release, the coordinator when it settles
+   a position at which some variants are parked live. [cred] is the
+   coordinator's snapshot of the kernel credentials (stable for the
+   whole round — every credential mutation is a Sensitive call, which
+   parks all variants first), and everything touched is
+   variant-[i]-owned per the concurrency discipline. *)
+let relaxed_call t i ~cred n =
   let cpu = t.variants.(i).Image.cpu in
   let raw = Sysabi.of_cpu cpu in
   let spec = uid_spec t i in
@@ -447,12 +440,10 @@ let relaxed_call t i ~cred ~trace_args n =
       ((if cc_compute n a b then 1 else 0), a, b)
     end
   in
-  let rc_raw = if trace_args then Array.copy raw.Sysabi.args else [||] in
-  (* Variant-ring recording: runs on whichever domain owns variant [i]
-     right now (its pinned domain during a release, the coordinator on
-     the hybrid-position path — never both). The canonical argument
-     images and the result are deterministic, so sequential and
-     parallel runs record the identical pair. *)
+  (* Variant-ring recording, from the domain that owns variant [i]
+     right now (never two at once). The canonical argument images and
+     the result are deterministic, so sequential and parallel runs
+     record the identical pair. *)
   (if Trace.enabled t.trace then begin
      let ring = t.trace_variants.(i) in
      let ts = Cpu.instructions_retired cpu in
@@ -466,27 +457,20 @@ let relaxed_call t i ~cred ~trace_args n =
     rc_a0 = a0;
     rc_c0 = c0;
     rc_c1 = c1;
-    rc_raw;
   }
 
-(* Cross-check one deferred position: the [i]-th record of every
-   variant's queue, popped together. Metric and trace order replays the
-   eager rendezvous exactly — rendezvous count, syscall-number check,
-   per-call counter, latency observation (from the retired counts the
-   variants recorded at the call, so the histogram is identical to what
-   lockstep execution would have measured), then the argument checks —
-   so a benign run is byte-for-byte indistinguishable from eager
-   monitoring and a divergent one raises the same alarm with the same
-   payload. Raises [Alarm_exn] on mismatch. *)
+(* Cross-check one relaxed position — the only code that checks a
+   relaxed call. [records] holds one record per variant, and the caller
+   has already counted the rendezvous and checked that the syscall
+   numbers agree. The per-call counter and the latency observation
+   (from the retired counts the variants recorded at the call, so the
+   histogram is identical to what lockstep execution would have
+   measured) come first, then the argument checks and the note, so a
+   divergent position raises the alarm class and payload the paper's
+   eager per-call check defines (Table 2). Raises [Alarm_exn] on
+   mismatch. *)
 let flush_position t (records : relaxed_record array) =
-  Metrics.incr t.rendezvous_c;
-  let numbers = Array.map (fun r -> r.rc_number) records in
-  Metrics.incr t.checks_performed;
-  if not (all_equal numbers) then begin
-    Metrics.incr t.checks_failed;
-    raise (Alarm_exn (Alarm.Syscall_mismatch { numbers }))
-  end;
-  let syscall = numbers.(0) in
+  let syscall = records.(0).rc_number in
   let now = Array.fold_left (fun acc r -> acc + r.rc_retired) 0 records in
   if Trace.enabled t.trace then
     Trace.record t.trace_coord ~ts:now (Trace.Rendezvous { number = syscall; relaxed = true });
@@ -495,20 +479,6 @@ let flush_position t (records : relaxed_record array) =
     (latency_histogram t syscall)
     (float_of_int (now - t.last_rendezvous_instr));
   t.last_rendezvous_instr <- now;
-  let trace note =
-    (if Trace.enabled t.trace then
-       Trace.note t.trace_coord ~ts:now
-         (Printf.sprintf "[%s] %s" (Syscall.name syscall) note));
-    match t.tracer with
-    | None -> ()
-    | Some f ->
-      f
-        {
-          ev_syscall = syscall;
-          ev_raw_args = Array.map (fun r -> r.rc_raw) records;
-          ev_note = note;
-        }
-  in
   let scratch = t.canon_scratch in
   (if
      syscall = Syscall.sys_getuid
@@ -516,8 +486,8 @@ let flush_position t (records : relaxed_record array) =
      || syscall = Syscall.sys_getgid
      || syscall = Syscall.sys_getegid
    then begin
-     (* No arguments to check; replay the kernel read (and its metric)
-        the eager path would have performed as leader. *)
+     (* No arguments to check; perform the kernel read (and its metric)
+        once, as leader, for the canonical value. *)
      let k = t.kernel in
      let canonical =
        if syscall = Syscall.sys_getuid then Kernel.sys_getuid k
@@ -525,45 +495,55 @@ let flush_position t (records : relaxed_record array) =
        else if syscall = Syscall.sys_getgid then Kernel.sys_getgid k
        else Kernel.sys_getegid k
      in
-     trace
-       (Format.asprintf "%s -> canonical %a, reexpressed per variant"
-          (Syscall.name syscall) Word.pp canonical)
+     note t ~ts:now syscall (fun () ->
+         Format.asprintf "%s -> canonical %a, reexpressed per variant"
+           (Syscall.name syscall) Word.pp canonical)
    end
    else if syscall = Syscall.sys_uid_value then begin
+     (* Table 2: compare across variants (post-inverse); each variant
+        already got its own passed (still reexpressed) value back. *)
      Array.iteri (fun i r -> scratch.(i) <- r.rc_c0) records;
      check_scratch t ~syscall ~index:0;
-     trace
-       (Format.asprintf "uid_value: canonical %a equivalent in all variants" Word.pp
-          scratch.(0))
+     let canonical = scratch.(0) in
+     note t ~ts:now syscall (fun () ->
+         Format.asprintf "uid_value: canonical %a equivalent in all variants" Word.pp
+           canonical)
    end
    else if syscall = Syscall.sys_cond_chk then begin
+     (* Table 2: condition values are plain booleans, identical in all
+        variants or the variants are taking different paths. *)
      let values = Array.map (fun r -> r.rc_a0) records in
      check t ~fail:(fun () -> Alarm.Cond_mismatch { values }) (all_equal values);
-     trace (Printf.sprintf "cond_chk(%d): paths agree" values.(0))
+     note t ~ts:now syscall (fun () ->
+         Printf.sprintf "cond_chk(%d): paths agree" values.(0))
    end
    else begin
+     (* cc_eq .. cc_geq: both UID arguments are decoded and checked;
+        the comparison is the same on the agreed canonical values. *)
      Array.iteri (fun i r -> scratch.(i) <- r.rc_c0) records;
      check_scratch t ~syscall ~index:0;
      let a = scratch.(0) in
      Array.iteri (fun i r -> scratch.(i) <- r.rc_c1) records;
      check_scratch t ~syscall ~index:1;
      let b = scratch.(0) in
-     trace
-       (Format.asprintf "%s(%a, %a) = %b on canonical values" (Syscall.name syscall)
-          Word.pp a Word.pp b (cc_compute syscall a b))
+     note t ~ts:now syscall (fun () ->
+         Format.asprintf "%s(%a, %a) = %b on canonical values" (Syscall.name syscall)
+           Word.pp a Word.pp b (cc_compute syscall a b))
    end);
   Metrics.incr t.relaxed_checks_c;
   t.flush_batch <- t.flush_batch + 1
 
 (* Flush every complete position: while all queues are non-empty, pop
    one record per variant and cross-check them. Records are popped
-   before [flush_position] can raise, so an alarming position is
-   consumed — a re-run does not re-check it (the variants have long
-   since moved past it). *)
+   before the checks can raise, so an alarming position is consumed —
+   a re-run does not re-check it (the variants have long since moved
+   past it). *)
 let flush_prefix t =
   let rec go () =
     if Array.for_all (fun q -> not (Queue.is_empty q)) t.deferred then begin
       let records = Array.map Queue.pop t.deferred in
+      Metrics.incr t.rendezvous_c;
+      check_numbers t (Array.map (fun r -> r.rc_number) records);
       flush_position t records;
       go ()
     end
@@ -586,9 +566,12 @@ let flush_boundary t =
 (* Rendezvous dispatch                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Returns [None] to keep running, [Some outcome] to stop. [now_instr]
-   is the caller's already-computed total of retired instructions, so
-   the dispatch path does not re-fold over the variants. *)
+(* The full rendezvous at a Sensitive (or unknown) call: the
+   coordinator checks the canonical arguments and performs the kernel
+   call once as leader. Returns [None] to keep running, [Some outcome]
+   to stop. [now_instr] is the caller's already-computed total of
+   retired instructions, so the dispatch path does not re-fold over the
+   variants. *)
 let dispatch t ~now_instr (raws : Sysabi.raw array) =
   let syscall = raws.(0).Sysabi.number in
   if Trace.enabled t.trace then
@@ -601,13 +584,14 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     (latency_histogram t syscall)
     (float_of_int (now_instr - t.last_rendezvous_instr));
   t.last_rendezvous_instr <- now_instr;
+  let note = note t ~ts:now_instr syscall in
   let k = t.kernel in
   let continue_ = None in
   match syscall with
   | n when n = Syscall.sys_exit ->
     let statuses = Array.map (fun (r : Sysabi.raw) -> Word.to_signed r.Sysabi.args.(0)) raws in
     check t ~fail:(fun () -> Alarm.Exit_mismatch { statuses }) (all_equal statuses);
-    trace t ~syscall ~raws (Printf.sprintf "exit(%d) checked across variants" statuses.(0));
+    note (fun () -> Printf.sprintf "exit(%d) checked across variants" statuses.(0));
     ignore (Kernel.sys_exit k ~status:statuses.(0));
     Some (Exited statuses.(0))
   | n when n = Syscall.sys_read ->
@@ -630,44 +614,23 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       | Some perturb when count > 0 ->
         (* Fault injection: each variant receives a possibly-perturbed
            copy of the replicated input, with its own byte count. *)
-        trace t ~syscall ~raws
-          (Printf.sprintf "read(%d): %d bytes replicated with fault injection" fd count);
+        note (fun () ->
+            Printf.sprintf "read(%d): %d bytes replicated with fault injection" fd count);
         let chunks =
           Array.init (Array.length t.variants) (fun i -> perturb ~variant:i bytes)
         in
-        Array.iteri
-          (fun i buf ->
-            if String.length chunks.(i) > 0 then begin
-              try Sysabi.write_bytes t.variants.(i).Image.memory ~addr:buf chunks.(i)
-              with Memory.Fault { addr; access } ->
-                raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } })
-            end)
-          bufs;
+        copy_out t ~bufs chunks;
         deliver t (Array.map (fun c -> Word.mask (String.length c)) chunks)
       | Some _ | None ->
-        trace t ~syscall ~raws
-          (Printf.sprintf "read(%d): performed once, %d bytes replicated to all variants" fd
-             count);
-        Array.iteri
-          (fun i buf ->
-            if count > 0 then
-              try Sysabi.write_bytes t.variants.(i).Image.memory ~addr:buf bytes
-              with Memory.Fault { addr; access } ->
-                raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } }))
-          bufs;
+        note (fun () ->
+            Printf.sprintf "read(%d): performed once, %d bytes replicated to all variants"
+              fd count);
+        if count > 0 then copy_out t ~bufs (Array.make (Array.length bufs) bytes);
         deliver_same t (Word.of_signed count))
     | Kernel.Per_variant chunks ->
-      trace t ~syscall ~raws
-        (Printf.sprintf "read(%d): unshared file, each variant reads its own copy" fd);
-      Array.iteri
-        (fun i buf ->
-          let bytes = chunks.(i) in
-          if String.length bytes > 0 then begin
-            try Sysabi.write_bytes t.variants.(i).Image.memory ~addr:buf bytes
-            with Memory.Fault { addr; access } ->
-              raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } })
-          end)
-        bufs;
+      note (fun () ->
+          Printf.sprintf "read(%d): unshared file, each variant reads its own copy" fd);
+      copy_out t ~bufs chunks;
       deliver t (Array.map (fun c -> Word.mask (String.length c)) chunks));
     continue_
   | n when n = Syscall.sys_write ->
@@ -686,13 +649,12 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
     let chunks =
       Array.mapi
         (fun i buf ->
-          try Sysabi.read_bytes t.variants.(i).Image.memory ~addr:buf ~len:lens.(i)
-          with Memory.Fault { addr; access } ->
-            raise (Marshal_fault { variant = i; fault = Cpu.Segfault { addr; access } }))
+          let memory = t.variants.(i).Image.memory in
+          marshal i (fun () -> Sysabi.read_bytes memory ~addr:buf ~len:lens.(i)))
         bufs
     in
-    if Kernel.fd_is_unshared k ~fd then begin
-      trace t ~syscall ~raws "write: unshared file, each variant writes its own copy";
+    if unshared then begin
+      note (fun () -> "write: unshared file, each variant writes its own copy");
       deliver_same t (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Per_variant chunks)))
     end
     else begin
@@ -703,20 +665,17 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
         ~fail:(fun () -> Alarm.Output_mismatch { syscall; fd })
         (all_equal chunks);
       Metrics.incr t.output_writes_checked_c;
-      trace t ~syscall ~raws
-        (Printf.sprintf "write(%d): bytes checked equal, performed once" fd);
+      note (fun () -> Printf.sprintf "write(%d): bytes checked equal, performed once" fd);
       deliver_same t (Word.of_signed (Kernel.sys_write k ~fd ~data:(Kernel.Shared_data chunks.(0))))
     end;
     continue_
   | n when n = Syscall.sys_open ->
     let path = canon_string t ~raws ~syscall ~index:0 in
     let flags = Word.to_signed (canon_int t ~raws ~syscall ~index:1) in
-    let note =
-      if Kernel.is_unshared k path then
-        Printf.sprintf "open(%S): unshared, variant i gets %s-i" path path
-      else Printf.sprintf "open(%S): shared descriptor" path
-    in
-    trace t ~syscall ~raws note;
+    note (fun () ->
+        if Kernel.is_unshared k path then
+          Printf.sprintf "open(%S): unshared, variant i gets %s-i" path path
+        else Printf.sprintf "open(%S): shared descriptor" path);
     deliver_same t (Word.of_signed (Kernel.sys_open k ~path ~flags));
     continue_
   | n when n = Syscall.sys_close ->
@@ -734,28 +693,10 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       Some Blocked_on_accept
     end
     else begin
-      trace t ~syscall ~raws
-        (Printf.sprintf "accept(%d) -> fd %d for all variants" listen_fd fd);
+      note (fun () -> Printf.sprintf "accept(%d) -> fd %d for all variants" listen_fd fd);
       deliver_same t (Word.of_signed fd);
       continue_
     end
-  | n when n = Syscall.sys_getuid || n = Syscall.sys_geteuid || n = Syscall.sys_getgid
-           || n = Syscall.sys_getegid ->
-    let canonical =
-      if n = Syscall.sys_getuid then Kernel.sys_getuid k
-      else if n = Syscall.sys_geteuid then Kernel.sys_geteuid k
-      else if n = Syscall.sys_getgid then Kernel.sys_getgid k
-      else Kernel.sys_getegid k
-    in
-    let per_variant =
-      Array.init (Array.length t.variants) (fun i ->
-          (uid_spec t i).Reexpression.encode canonical)
-    in
-    trace t ~syscall ~raws
-      (Format.asprintf "%s -> canonical %a, reexpressed per variant" (Syscall.name n)
-         Word.pp canonical);
-    deliver t per_variant;
-    continue_
   | n when n = Syscall.sys_setuid || n = Syscall.sys_seteuid || n = Syscall.sys_setgid
            || n = Syscall.sys_setegid ->
     let canonical = canon_uid t ~raws ~syscall ~index:0 in
@@ -765,41 +706,13 @@ let dispatch t ~now_instr (raws : Sysabi.raw array) =
       else if n = Syscall.sys_setgid then Kernel.sys_setgid k ~gid:canonical
       else Kernel.sys_setegid k ~gid:canonical
     in
-    trace t ~syscall ~raws
-      (Format.asprintf "%s: R_i^-1 applied, canonical %a agreed, performed once"
-         (Syscall.name n) Word.pp canonical);
+    note (fun () ->
+        Format.asprintf "%s: R_i^-1 applied, canonical %a agreed, performed once"
+          (Syscall.name n) Word.pp canonical);
     deliver_same t (Word.of_signed result);
     continue_
-  | n when n = Syscall.sys_uid_value ->
-    (* Table 2: compare across variants (post-inverse), return the
-       passed (still reexpressed) value to each variant. *)
-    let canonical = canon_uid t ~raws ~syscall ~index:0 in
-    trace t ~syscall ~raws
-      (Format.asprintf "uid_value: canonical %a equivalent in all variants" Word.pp
-         canonical);
-    deliver t (Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(0)) raws);
-    continue_
-  | n when n = Syscall.sys_cond_chk ->
-    (* Table 2: condition values are plain booleans, identical in all
-       variants or the variants are taking different paths. *)
-    let values = Array.map (fun (r : Sysabi.raw) -> r.Sysabi.args.(0)) raws in
-    check t ~fail:(fun () -> Alarm.Cond_mismatch { values }) (all_equal values);
-    trace t ~syscall ~raws (Printf.sprintf "cond_chk(%d): paths agree" values.(0));
-    deliver_same t values.(0);
-    continue_
-  | n when Syscall.is_detection_call n ->
-    (* cc_eq .. cc_geq: both UID arguments are decoded and checked,
-       then the comparison is computed once on canonical values. *)
-    let a = canon_uid t ~raws ~syscall ~index:0 in
-    let b = canon_uid t ~raws ~syscall ~index:1 in
-    let result = cc_compute n a b in
-    trace t ~syscall ~raws
-      (Format.asprintf "%s(%a, %a) = %b on canonical values" (Syscall.name n) Word.pp a
-         Word.pp b result);
-    deliver_same t (if result then 1 else 0);
-    continue_
   | _ ->
-    trace t ~syscall ~raws "unknown syscall: -1 to all variants";
+    note (fun () -> "unknown syscall: -1 to all variants");
     deliver_same t (Word.of_signed (-1));
     continue_
 
@@ -919,7 +832,7 @@ let run_variant_to_trap t i ~fuel =
    modes (so where a variant stops — and therefore every downstream
    check — is mode-independent). Runs on the variant's domain in
    parallel mode; everything touched is variant-[i]-owned. *)
-let run_variant_release t i ~fuel ~cred ~relaxed_ok ~trace_args ~emit =
+let run_variant_release t i ~fuel ~cred ~relaxed_ok ~emit =
   let cpu = t.variants.(i).Image.cpu in
   let start = Cpu.instructions_retired cpu in
   if Trace.enabled t.trace then
@@ -935,7 +848,7 @@ let run_variant_release t i ~fuel ~cred ~relaxed_ok ~trace_args ~emit =
       | Cpu.Trapped Cpu.Syscall_trap ->
         let n = (Sysabi.of_cpu cpu).Sysabi.number in
         if relaxed_ok && Syscall.is_relaxed n then begin
-          emit (relaxed_call t i ~cred ~trace_args n);
+          emit (relaxed_call t i ~cred n);
           go ()
         end
         else A_syscall
@@ -1000,7 +913,7 @@ let bell_wait b poll =
    release plus the final stop; the event ring absorbs a burst of
    relaxed records before the producer has to wake the coordinator. *)
 type cmd =
-  | C_release of { fuel : int; cred : Cred.t; relaxed_ok : bool; trace_args : bool }
+  | C_release of { fuel : int; cred : Cred.t; relaxed_ok : bool }
   | C_stop
 
 type evt = E_record of relaxed_record | E_arrival of arrival
@@ -1044,10 +957,9 @@ let variant_domain t i link coord_bell =
     match Spsc.try_pop link.lk_cmd with
     | None -> serve ()
     | Some C_stop -> ()
-    | Some (C_release { fuel; cred; relaxed_ok; trace_args }) ->
+    | Some (C_release { fuel; cred; relaxed_ok }) ->
       let emit rc = push ~urgent:false (E_record rc) in
-      push ~urgent:true
-        (E_arrival (run_variant_release t i ~fuel ~cred ~relaxed_ok ~trace_args ~emit));
+      push ~urgent:true (E_arrival (run_variant_release t i ~fuel ~cred ~relaxed_ok ~emit));
       serve ()
   in
   serve ()
@@ -1058,7 +970,7 @@ let variant_domain t i link coord_bell =
    released variant has arrived. Popping a variant's arrival happens
    strictly after all its records (SPSC FIFO), so the queues are
    complete when the round ends. *)
-let run_round_parallel t links coord_bell ~released ~fuel ~cred ~relaxed_ok ~trace_args =
+let run_round_parallel t links coord_bell ~released ~fuel ~cred ~relaxed_ok =
   let n = Array.length links in
   let waiting = Array.make n false in
   let pending = ref 0 in
@@ -1066,8 +978,8 @@ let run_round_parallel t links coord_bell ~released ~fuel ~cred ~relaxed_ok ~tra
     (fun i ->
       waiting.(i) <- true;
       incr pending;
-      if not (Spsc.try_push links.(i).lk_cmd (C_release { fuel; cred; relaxed_ok; trace_args }))
-      then assert false;
+      if not (Spsc.try_push links.(i).lk_cmd (C_release { fuel; cred; relaxed_ok })) then
+        assert false;
       bell_ring links.(i).lk_bell)
     released;
   let poll () =
@@ -1081,10 +993,6 @@ let run_round_parallel t links coord_bell ~released ~fuel ~cred ~relaxed_ok ~tra
     let progress = ref false in
     for i = 0 to n - 1 do
       if waiting.(i) then begin
-        (* A producer only parks on a full ring, and nothing but this
-           loop drains it — so "full at drain start" is exactly the
-           case where a wake may be owed afterwards. *)
-        let was_full = Spsc.length links.(i).lk_evt >= Spsc.capacity links.(i).lk_evt in
         let drained = ref false in
         let continue_ = ref true in
         while !continue_ do
@@ -1100,9 +1008,12 @@ let run_round_parallel t links coord_bell ~released ~fuel ~cred ~relaxed_ok ~tra
             decr pending;
             continue_ := false
         done;
+        (* A producer parks only on a full ring, but the ring can fill
+           while this drain runs, so a wake may be owed after any
+           drain; [bell_ring] is one atomic load unless it is. *)
         if !drained then begin
           progress := true;
-          if was_full then bell_ring links.(i).lk_bell
+          bell_ring links.(i).lk_bell
         end
       end
     done;
@@ -1247,7 +1158,6 @@ let run ?(fuel = 50_000_000) t =
       let relaxed_ok =
         match t.signal with Some { mode = At_rendezvous; _ } -> false | Some _ | None -> true
       in
-      let trace_args = t.tracer <> None in
       let cred = Kernel.cred t.kernel in
       (* Snapshot the Immediate-delivery flags so deliveries performed
          inside the round can be counted after it. *)
@@ -1260,7 +1170,7 @@ let run ?(fuel = 50_000_000) t =
           if t.arrivals.(i) = None then
             t.arrivals.(i) <-
               Some
-                (run_variant_release t i ~fuel:remaining ~cred ~relaxed_ok ~trace_args
+                (run_variant_release t i ~fuel:remaining ~cred ~relaxed_ok
                    ~emit:(fun rc -> Queue.add rc t.deferred.(i)))
         done
       | Some (links, coord_bell) ->
@@ -1269,7 +1179,7 @@ let run ?(fuel = 50_000_000) t =
           if t.arrivals.(i) = None then released := i :: !released
         done;
         run_round_parallel t links coord_bell ~released:(Array.of_list !released)
-          ~fuel:remaining ~cred ~relaxed_ok ~trace_args);
+          ~fuel:remaining ~cred ~relaxed_ok);
       (* Coordinator-side signal bookkeeping for this round. *)
       (match t.signal with
       | Some s ->
@@ -1325,98 +1235,76 @@ let run ?(fuel = 50_000_000) t =
               view;
             match !alarm with
             | Some reason -> finish (alarmed t reason)
-            | None ->
-              (* Every variant is parked at a syscall. *)
-              if Array.exists (fun q -> not (Queue.is_empty q)) t.deferred then begin
-                (* Hybrid position: some variants recorded their next
-                   call, the rest are parked live at theirs (the flush
-                   drained every all-recorded position, so at least one
-                   queue is empty). The per-variant syscall numbers come
-                   from the record fronts or the live trap state. *)
+            | None -> (
+              (* Every variant is parked at a syscall. Either every queue
+                 is flushed and every variant is parked live at its next
+                 call (a full rendezvous), or some variants recorded
+                 their next call and the rest are parked live at theirs
+                 (a hybrid position: the flush drained every
+                 all-recorded position, so at least one queue is empty).
+                 The per-variant syscall numbers come from the record
+                 fronts or the live trap state. *)
+              let hybrid = Array.exists (fun q -> not (Queue.is_empty q)) t.deferred in
+              if not hybrid then flush_boundary t;
+              Metrics.incr t.rendezvous_c;
+              match
+                (* Synchronized signal delivery at a full rendezvous:
+                   every variant is parked at an equivalent point
+                   (trapped, pc already past the syscall instruction,
+                   trap context preserved by the synchronous handler
+                   run), so handlers execute in lockstep and the
+                   rendezvous then proceeds normally. *)
+                (match t.signal with
+                | Some ({ mode = At_rendezvous; _ } as s) when not hybrid ->
+                  Array.iteri
+                    (fun i _ ->
+                      if not s.delivered.(i) then begin
+                        deliver_signal t i ~handler:s.handler;
+                        s.delivered.(i) <- true;
+                        Metrics.incr t.signals_delivered_c
+                      end)
+                    t.variants;
+                  clear_if_fully_delivered t
+                | Some _ | None -> ());
+                let raws = Array.map (fun v -> Sysabi.of_cpu v.Image.cpu) t.variants in
                 let numbers =
                   Array.mapi
                     (fun i q ->
                       match Queue.peek_opt q with
                       | Some rc -> rc.rc_number
-                      | None -> (Sysabi.of_cpu t.variants.(i).Image.cpu).Sysabi.number)
+                      | None -> raws.(i).Sysabi.number)
                     t.deferred
                 in
-                if all_equal numbers then begin
-                  (* Necessarily a relaxed number (records only hold
-                     those): execute the live variants' calls on the
-                     coordinator, completing the position, and flush. *)
-                  Array.iteri
-                    (fun i q ->
-                      if Queue.is_empty q then begin
-                        Queue.add (relaxed_call t i ~cred ~trace_args numbers.(0)) q;
-                        t.arrivals.(i) <- None
-                      end)
-                    t.deferred;
-                  match flush_prefix t with
-                  | Error reason -> finish (alarmed t reason)
-                  | Ok () -> loop ()
+                check_numbers t numbers;
+                if Syscall.is_relaxed numbers.(0) then begin
+                  (* A relaxed position: always so at a hybrid one
+                     (records only hold relaxed numbers), and at a full
+                     rendezvous only while an [At_rendezvous] signal
+                     kept relaxation off. The live variants execute
+                     their call here on the coordinator and the position
+                     settles like any deferred one. *)
+                  flush_position t
+                    (Array.mapi
+                       (fun i q ->
+                         match Queue.take_opt q with
+                         | Some rc -> rc
+                         | None ->
+                           t.arrivals.(i) <- None;
+                           relaxed_call t i ~cred numbers.(0))
+                       t.deferred);
+                  None
                 end
                 else begin
-                  (* The variants disagree on what their next call even
-                     is: the same syscall-number check a full rendezvous
-                     performs, with the same metric effects. *)
-                  Metrics.incr t.rendezvous_c;
-                  Metrics.incr t.checks_performed;
-                  Metrics.incr t.checks_failed;
-                  finish (alarmed t (Alarm.Syscall_mismatch { numbers }))
+                  let outcome = dispatch t ~now_instr:(instructions_retired t) raws in
+                  Array.fill t.arrivals 0 n None;
+                  outcome
                 end
-              end
-              else begin
-                (* Full rendezvous: every queue is flushed and every
-                   variant is parked live at its next sensitive call. *)
-                flush_boundary t;
-                Metrics.incr t.rendezvous_c;
-                (* Synchronized signal delivery: every variant is parked
-                   at an equivalent rendezvous point (trapped, pc
-                   already past the syscall instruction, trap context
-                   preserved by the synchronous handler run), so
-                   handlers execute in lockstep and the rendezvous then
-                   proceeds normally. *)
-                let delivery =
-                  match t.signal with
-                  | Some ({ mode = At_rendezvous; _ } as s) -> (
-                    try
-                      Array.iteri
-                        (fun i _ ->
-                          if not s.delivered.(i) then begin
-                            deliver_signal t i ~handler:s.handler;
-                            s.delivered.(i) <- true;
-                            Metrics.incr t.signals_delivered_c
-                          end)
-                        t.variants;
-                      clear_if_fully_delivered t;
-                      Ok ()
-                    with Alarm_exn reason -> Error reason)
-                  | Some _ | None -> Ok ()
-                in
-                match delivery with
-                | Error reason -> finish (alarmed t reason)
-                | Ok () ->
-                  let raws = Array.map (fun v -> Sysabi.of_cpu v.Image.cpu) t.variants in
-                  let numbers = Array.map (fun (r : Sysabi.raw) -> r.Sysabi.number) raws in
-                  Metrics.incr t.checks_performed;
-                  if not (all_equal numbers) then begin
-                    Metrics.incr t.checks_failed;
-                    finish (alarmed t (Alarm.Syscall_mismatch { numbers }))
-                  end
-                  else begin
-                    match dispatch t ~now_instr:(instructions_retired t) raws with
-                    | None ->
-                      Array.fill t.arrivals 0 n None;
-                      loop ()
-                    | Some outcome ->
-                      Array.fill t.arrivals 0 n None;
-                      finish outcome
-                    | exception Alarm_exn reason -> finish (alarmed t reason)
-                    | exception Marshal_fault { variant; fault } ->
-                      finish (alarmed t (Alarm.Variant_fault { variant; fault }))
-                  end
-              end
+              with
+              | None -> loop ()
+              | Some outcome -> finish outcome
+              | exception Alarm_exn reason -> finish (alarmed t reason)
+              | exception Marshal_fault { variant; fault } ->
+                finish (alarmed t (Alarm.Variant_fault { variant; fault })))
           end)
     end
   in

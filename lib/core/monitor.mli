@@ -25,13 +25,6 @@ type outcome =
           call {!run} again *)
   | Out_of_fuel
 
-type event = {
-  ev_syscall : int;
-  ev_raw_args : int array array;  (** [variant][arg 0..4] as trapped *)
-  ev_note : string;  (** human-readable canonicalization summary *)
-}
-(** One rendezvous, for the Figure 2 trace demo. *)
-
 type t
 
 val create :
@@ -97,8 +90,11 @@ val run : ?fuel:int -> t -> outcome
     locally by each variant, which posts a canonicalized record and
     continues without waiting. The coordinator cross-checks the
     accumulated records at the next rendezvous, raising the same alarm
-    classes with identical payloads, metric counters and trace events
-    as eager per-call rendezvous would have. *)
+    classes and payloads, in the same order, as an eager per-call check
+    would have. A relaxed call is executed and checked by this one path
+    only: where variants are parked live at a relaxed call (while an
+    {!At_rendezvous} signal keeps relaxation off), the coordinator
+    executes it for them and settles the position the same way. *)
 
 val instructions_retired : t -> int
 (** Total instructions across all variants — the redundant-computation
@@ -115,8 +111,8 @@ val metrics : t -> Nv_util.Metrics.t
     [monitor.latency_instr.<name>] (histogram of retired instructions
     between rendezvous), [monitor.input_bytes_replicated],
     [monitor.output_writes_checked], [monitor.signals_delivered],
-    [monitor.relaxed_checks] (positions cross-checked from deferred
-    records rather than an eager rendezvous) and
+    [monitor.relaxed_checks] (relaxed-call positions that passed their
+    cross-check) and
     [monitor.deferred_batch_size] (histogram of how many deferred
     checks settled per flush boundary). *)
 
@@ -135,8 +131,9 @@ type stats = {
       (** shared writes whose bytes were compared across variants *)
   st_signals_delivered : int;
   st_relaxed_checks : int;
-      (** rendezvous positions settled from deferred relaxed-call
-          records instead of an eager stop-the-world rendezvous *)
+      (** relaxed-call positions that passed their cross-check, whether
+          settled from deferred records or where the variants were
+          parked live *)
 }
 
 val stats : t -> stats
@@ -144,22 +141,23 @@ val stats : t -> stats
     the observability surface the operator of an N-variant deployment
     would watch. *)
 
-val set_tracer : t -> (event -> unit) -> unit
-(** Install a rendezvous observer (Figure 2 demo). *)
-
 (** {1 Flight recorder}
 
     Every monitor owns a disabled {!Nv_util.Trace} session with one
     ring per variant (tid [0..n-1]; owned by that variant's domain
     while it is released, so recording is lock-free), a coordinator
     ring (tid [n]: full and relaxed rendezvous, deferred-flush
-    boundaries, dispatch breadcrumbs, alarms) and a kernel ring (tid
-    [n+1]: every kernel dispatch). Timestamps are retired-instruction
+    boundaries, alarms, and one human-readable [Note] per checked call,
+    ["[<syscall>] <canonicalization summary>"]) and a kernel ring (tid
+    [n+1]: every kernel dispatch). The coordinator ring's notes are the
+    monitor's only breadcrumb stream ([nvexec --trace] and the Table 2
+    and Figure 2 demos print them). Timestamps are retired-instruction
     counts — the variant's own for its ring, the all-variant total for
     the coordinator and kernel — so sequential and parallel runs of
     the same program record bit-identical streams. Enable with
     [Trace.set_enabled (trace_session t) true]; when disabled every
-    recording site costs one atomic load and allocates nothing. *)
+    recording site costs one atomic load, allocates no event and
+    formats no note. *)
 
 val trace_session : t -> Nv_util.Trace.t
 

@@ -75,7 +75,7 @@ let record r ~ts kind =
     end
   end
 
-let note r ~ts text = record r ~ts (Note text)
+let note r ~ts text = if Atomic.get r.rg_session.on then record r ~ts (Note (text ()))
 
 let events r =
   let cap = Array.length r.buf in

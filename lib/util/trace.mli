@@ -84,9 +84,10 @@ val record : ring -> ts:int -> kind -> unit
     (call sites should still guard with {!enabled} to avoid
     constructing the event). Drops the oldest event when full. *)
 
-val note : ring -> ts:int -> string -> unit
-(** [record] of a [Note], with the string built only when enabled —
-    convenience for printf-style breadcrumbs. *)
+val note : ring -> ts:int -> (unit -> string) -> unit
+(** [record] of a [Note] whose text is built by calling the thunk only
+    when the session is enabled, so printf-style breadcrumbs format
+    nothing while the recorder is off. *)
 
 val events : ring -> event list
 (** Retained events, oldest first. Read from the coordinator after the

@@ -103,8 +103,6 @@ let set_engine t engine = t.engine <- engine
 
 let engine t = t.engine
 
-let set_icache_enabled t enabled = t.engine <- (if enabled then Icache else Reference)
-
 (* Slot index = offset / instr_size, as a shift on the (non-negative)
    validated offsets the hot paths pass in. *)
 let instr_shift = 3

@@ -119,10 +119,6 @@ val default_engine : unit -> engine
 (** The engine newly created segments start in: [NV_ENGINE] when set to
     a recognized name, otherwise {!Icache}. *)
 
-val set_icache_enabled : t -> bool -> unit
-(** Compatibility toggle predating {!set_engine}: [true] selects
-    {!Icache}, [false] selects {!Reference}. *)
-
 (** {1 Compiled-block registry}
 
     The block compiler registers each compiled block's slot span here;

@@ -174,6 +174,31 @@ let test_bench_table1 () =
   Alcotest.(check bool) "prints the table" true (contains output "UID Variation (this paper)");
   Alcotest.(check bool) "checks properties" true (contains output "disjointness 100000/100000")
 
+(* The Table 2 and Figure 2 demos print the notes the monitor's flight
+   recorder keeps for every checked call. *)
+let test_bench_table2 () =
+  let status, output = run_capture "../bench/main.exe table2" in
+  Alcotest.(check int) "exit 0" 0 status;
+  Alcotest.(check bool) "demo exits 0" true
+    (contains output "live demo under the 2-variant UID variation (exit 0)");
+  Alcotest.(check bool) "cond_chk note" true
+    (contains output "  cond_chk   cond_chk(1): paths agree\n");
+  Alcotest.(check bool) "cc_eq note" true
+    (contains output
+       "  cc_eq      cc_eq(0x00000000, 0x00000000) = true on canonical values\n")
+
+let test_bench_figure2 () =
+  let status, output = run_capture "../bench/main.exe figure2" in
+  Alcotest.(check int) "exit 0" 0 status;
+  Alcotest.(check bool) "unshared open note" true
+    (contains output
+       "  [open] open(\"/etc/passwd\"): unshared, variant i gets /etc/passwd-i\n");
+  Alcotest.(check bool) "seteuid note" true
+    (contains output
+       ("  [seteuid] seteuid: R_i^-1 applied, canonical 0x00000021 agreed, "
+       ^ "performed once\n"));
+  Alcotest.(check bool) "counters" true (contains output "monitor counters: 28 rendezvous;")
+
 let test_bench_unknown_report () =
   let status, _ = run_capture "../bench/main.exe nonsense" in
   Alcotest.(check bool) "nonzero" true (status <> 0)
@@ -283,6 +308,8 @@ let () =
       ( "bench",
         [
           Alcotest.test_case "table1" `Quick test_bench_table1;
+          Alcotest.test_case "table2" `Quick test_bench_table2;
+          Alcotest.test_case "figure2" `Quick test_bench_figure2;
           Alcotest.test_case "unknown report" `Quick test_bench_unknown_report;
           Alcotest.test_case "bench results json" `Quick test_bench_results_json;
         ] );

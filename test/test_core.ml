@@ -774,16 +774,31 @@ let test_signal_post_validation () =
 (* ------------------------------------------------------------------ *)
 
 let test_tracer_sees_rendezvous () =
-  let events = ref [] in
+  (* The flight recorder's coordinator ring carries one
+     "[<syscall>] <summary>" note per checked call, relaxed or not. *)
   let sys = system ~variation:Variation.uid_diversity uid_dance_source in
-  Monitor.set_tracer (Nsystem.monitor sys) (fun e -> events := e :: !events);
+  let session = Monitor.trace_session (Nsystem.monitor sys) in
+  Nv_util.Trace.set_enabled session true;
   expect_exit 0 (Nsystem.run sys);
-  let names =
-    List.rev_map (fun e -> Nv_os.Syscall.name e.Monitor.ev_syscall) !events
+  let notes =
+    List.concat_map
+      (fun ring ->
+        if Nv_util.Trace.ring_name ring <> "coordinator" then []
+        else
+          List.filter_map
+            (fun e ->
+              match e.Nv_util.Trace.kind with Nv_util.Trace.Note s -> Some s | _ -> None)
+            (Nv_util.Trace.events ring))
+      (Nv_util.Trace.rings session)
   in
+  let names = List.map (fun s -> String.sub s 1 (String.index s ']' - 1)) notes in
   Alcotest.(check bool) "getuid traced" true (List.mem "getuid" names);
   Alcotest.(check bool) "seteuid traced" true (List.mem "seteuid" names);
   Alcotest.(check bool) "cc_eq traced" true (List.mem "cc_eq" names);
+  Alcotest.(check bool) "exact seteuid note" true
+    (List.mem
+       "[seteuid] seteuid: R_i^-1 applied, canonical 0x00000000 agreed, performed once"
+       notes);
   Alcotest.(check bool) "rendezvous counted" true
     (Monitor.rendezvous_count (Nsystem.monitor sys) >= List.length names)
 

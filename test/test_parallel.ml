@@ -429,6 +429,62 @@ let test_rollback_resets_relaxed_state () =
       Buffer.add_string b (outcome_str (Nsystem.run sys));
       Buffer.contents b)
 
+(* A relaxed stretch stopped Out_of_fuel inside a syscall-free spin,
+   then resumed with an [At_rendezvous] signal pending: relaxation is
+   off for the resumed round, so every variant parks live at the
+   cond_chk and the coordinator executes and checks it there as a
+   relaxed position. [me == 0] holds only in variant 0 (the identity
+   reexpression) and makes the divergent case's booleans disagree. *)
+let signal_at_relaxed_program cond =
+  Printf.sprintf
+    {|int sigcount = 0;
+      int on_signal(void) {
+        sigcount = sigcount + 1;
+        return 0;
+      }
+      int main(void) {
+        uid_t me = getuid();
+        int spin = 0;
+        while (spin < 300) { spin++; }
+        if (cond_chk(%s)) { return sigcount; }
+        return 9;
+      }|}
+    cond
+
+let test_signal_at_relaxed_call () =
+  List.iter
+    (fun (what, cond, expected, relaxed_checks) ->
+      assert_equivalent ~what
+        ~build:(build_minic (signal_at_relaxed_program cond))
+        ~drive:(fun sys ->
+          let monitor = Nsystem.monitor sys in
+          let stopped = outcome_str (Nsystem.run ~fuel:1000 sys) in
+          (* Only getuid has been checked: the stop is inside the spin. *)
+          Alcotest.(check (pair string int)) (what ^ ": stopped in the spin")
+            ("out-of-fuel", 1) (stopped, (Monitor.stats monitor).Monitor.st_relaxed_checks);
+          (match
+             Monitor.post_signal monitor ~handler:"on_signal" ~mode:Monitor.At_rendezvous
+           with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e);
+          let outcome = outcome_str (Nsystem.run sys) in
+          let stats = Monitor.stats monitor in
+          Alcotest.(check string) (what ^ ": outcome") expected outcome;
+          Alcotest.(check int) (what ^ ": signal delivered") 2
+            stats.Monitor.st_signals_delivered;
+          Alcotest.(check int) (what ^ ": relaxed checks") relaxed_checks
+            stats.Monitor.st_relaxed_checks;
+          outcome))
+    [
+      (* getuid, then the cond_chk settled at the signal rendezvous; a
+         position that alarms is not counted. *)
+      ("signal at a relaxed call, benign", "spin == 300", "exited 1", 2);
+      ( "signal at a relaxed call, divergent",
+        "me == 0",
+        "alarm cond_chk: variants took different paths: [1; 0]",
+        1 );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* The case-study server                                               *)
 (* ------------------------------------------------------------------ *)
@@ -696,6 +752,7 @@ let () =
           Alcotest.test_case "relaxed divergence" `Quick test_relaxed_divergence_alarms;
           Alcotest.test_case "rollback mid-relaxed-stretch" `Quick
             test_rollback_resets_relaxed_state;
+          Alcotest.test_case "signal at a relaxed call" `Quick test_signal_at_relaxed_call;
           Alcotest.test_case "httpd serving" `Quick test_httpd_serving;
           Alcotest.test_case "supervisor recovery" `Quick
             test_supervisor_recovery_under_parallel;

@@ -36,7 +36,7 @@ let test_disabled_records_nothing () =
   let t = Trace.create () in
   let r = Trace.ring t ~name:"x" ~pid:0 ~tid:0 in
   Trace.record r ~ts:1 Trace.Quantum_begin;
-  Trace.note r ~ts:2 "hello";
+  Trace.note r ~ts:2 (fun () -> "hello");
   Alcotest.(check int) "nothing recorded" 0 (Trace.recorded r);
   Trace.set_enabled t true;
   Trace.record r ~ts:3 Trace.Quantum_begin;
@@ -48,9 +48,12 @@ let test_disabled_allocates_nothing () =
      allocates nothing (the event constructor sits inside the guard). *)
   let t = Trace.create () in
   let r = Trace.ring t ~name:"x" ~pid:0 ~tid:0 in
+  let note_text () = Printf.sprintf "[seteuid] canonical %d" 33 in
   let site i =
     if Trace.enabled t then
-      Trace.record r ~ts:i (Trace.Syscall_enter { number = 9; args = [| i; i + 1 |] })
+      Trace.record r ~ts:i (Trace.Syscall_enter { number = 9; args = [| i; i + 1 |] });
+    (* An unguarded note: its text is formatted only when enabled. *)
+    Trace.note r ~ts:i note_text
   in
   site 0;
   let w0 = Gc.minor_words () in

@@ -2,12 +2,12 @@
 
    Every table and figure of the paper's evaluation has (a) a report
    generator that regenerates the artifact from this reproduction, and
-   (b) a Bechamel micro-benchmark measuring its harness kernel.
+   (b) a micro-benchmark timing its harness kernel on the host.
 
      dune exec bench/main.exe              all reports (Tables 1-3,
                                            Figures 1-2, X1-X3)
      dune exec bench/main.exe -- table3    one report
-     dune exec bench/main.exe -- micro     Bechamel measurements *)
+     dune exec bench/main.exe -- micro     host time of each kernel *)
 
 module Word = Nv_vm.Word
 module Variation = Nv_core.Variation
@@ -631,14 +631,13 @@ let bench_config config =
 
 let report_bench ?(path = "BENCH_results.json") () =
   section "BENCH: per-configuration results (JSON)";
-  (* The four configurations are independent systems: measure them on
-     the domain pool when NV_PARALLEL=1. bench_config is pure in the
-     host world (each call builds its own system), so the parallel
-     results are the ones the sequential loop would print. *)
+  (* The four configurations are independent systems: measure them
+     concurrently when NV_PARALLEL=1. bench_config is pure in the host
+     world (each call builds its own system), so the parallel results
+     are the ones the sequential loop would print. *)
   let cells =
     let configs = Array.of_list Deploy.all in
-    if Nv_util.Dompool.env_default () then
-      Nv_util.Dompool.map_array (Nv_util.Dompool.global ()) bench_config configs
+    if Nv_util.Dompool.env_default () then Nv_util.Dompool.map_array bench_config configs
     else Array.map bench_config configs
   in
   let configs =
@@ -666,6 +665,38 @@ let report_bench ?(path = "BENCH_results.json") () =
   report_fleet ~path ()
 
 (* ------------------------------------------------------------------ *)
+(* measure: the one host-clock timing loop                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every host-time figure in this harness comes from [measure]. A
+   configuration is a trial function whose caller has already set it up,
+   outside the clock: calling it prepares one trial (still untimed) and
+   returns the thunk that is timed. [measure] runs [warmup] untimed
+   trials of every configuration, then [trials] timed ones, interleaved
+   (trial k of every configuration runs before trial k+1 of any) so host
+   drift hits the configurations alike. It returns, per configuration,
+   each timed trial's result paired with its seconds. *)
+let measure ~warmup ~trials configs =
+  let time trial =
+    let run = trial () in
+    let t0 = Monotonic_clock.now () in
+    let result = run () in
+    (result, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
+  in
+  let configs = Array.of_list configs in
+  for _ = 1 to warmup do
+    Array.iter (fun trial -> ignore (time trial)) configs
+  done;
+  let rounds = Array.init trials (fun _ -> Array.map time configs) in
+  List.init (Array.length configs) (fun c -> Array.map (fun round -> round.(c)) rounds)
+
+let summarize f trials = Nv_util.Stats.summarize (Array.map f trials)
+
+(* A median with the range of the trials it summarizes. *)
+let spread fmt (s : Nv_util.Stats.summary) =
+  Printf.sprintf "%s (%s-%s)" (fmt s.p50) (fmt s.min) (fmt s.max)
+
+(* ------------------------------------------------------------------ *)
 (* hostperf: host wall-clock guest-MIPS                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -673,7 +704,10 @@ let report_bench ?(path = "BENCH_results.json") () =
    running the guest: wall-clock guest-MIPS across the three execution
    tiers — reference decode, predecoded icache, and the basic-block
    compiler — for a pure interpreter microbench and for the full
-   2-variant monitored server. *)
+   2-variant monitored server. Every figure is the median of warmed,
+   interleaved trials, and every ratio is a ratio of medians from the
+   same run. Engines and variant-execution modes are passed explicitly,
+   so NV_ENGINE and NV_PARALLEL do not change what a row measures. *)
 
 let hostperf_loop_iters = 150_000
 
@@ -697,79 +731,38 @@ let hostperf_program =
     |}
     hostperf_loop_iters
 
-let mips instructions seconds = float_of_int instructions /. max seconds 1e-9 /. 1e6
+let mips (instructions, seconds) = float_of_int instructions /. max seconds 1e-9 /. 1e6
 
-(* Best of [reps] runs, to shed warm-up and scheduler noise. Also
-   returns the block engine's (compiled, hits, invalidations) counters
-   from the last run — all zero for the stepping tiers. *)
-let interp_hostperf ~engine ~reps =
+(* Each trial runs the microbench to halt from a freshly loaded image
+   and returns its CPU. *)
+let interp_row engine =
   let image = Nv_vm.Asm.assemble hostperf_program in
-  let instructions = ref 0 in
-  let best = ref 0. in
-  let stats = ref (0, 0, 0) in
-  for _ = 1 to reps do
+  fun () ->
     let loaded = Nv_vm.Image.load image ~base:0x1000 ~size:(1 lsl 20) ~tag:0 in
     Nv_vm.Memory.set_engine loaded.Nv_vm.Image.memory engine;
-    let t0 = Unix.gettimeofday () in
-    (match Nv_vm.Cpu.run loaded.Nv_vm.Image.cpu ~fuel:10_000_000 with
-    | Nv_vm.Cpu.Trapped Nv_vm.Cpu.Halt_trap -> ()
-    | _ -> failwith "hostperf: interpreter microbench did not halt");
-    let dt = Unix.gettimeofday () -. t0 in
-    instructions := Nv_vm.Cpu.instructions_retired loaded.Nv_vm.Image.cpu;
-    stats := Nv_vm.Cpu.block_stats loaded.Nv_vm.Image.cpu;
-    best := Float.max !best (mips !instructions dt)
-  done;
-  (!instructions, !best, !stats)
+    fun () ->
+      match Nv_vm.Cpu.run loaded.Nv_vm.Image.cpu ~fuel:10_000_000 with
+      | Nv_vm.Cpu.Trapped Nv_vm.Cpu.Halt_trap -> loaded.Nv_vm.Image.cpu
+      | _ -> failwith "hostperf: interpreter microbench did not halt"
 
-let monitor_hostperf ?(trace = false) ~engine ~requests () =
-  match Deploy.build Deploy.Two_variant_uid with
+(* The 2-variant monitored server, built once per row and kept warm:
+   each trial serves [requests] more requests and returns the guest
+   instructions they retired. *)
+let monitor_row ?(trace = false) ~engine ~requests () =
+  match Deploy.build ~parallel:false ~engine Deploy.Two_variant_uid with
   | Error e -> failwith e
   | Ok sys ->
     let monitor = Nsystem.monitor sys in
-    for i = 0 to Monitor.variant_count monitor - 1 do
-      Nv_vm.Memory.set_engine (Monitor.loaded monitor i).Nv_vm.Image.memory engine
-    done;
     if trace then Nv_util.Trace.set_enabled (Monitor.trace_session monitor) true;
-    let instr0 = Monitor.instructions_retired monitor in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to requests do
-      match Nsystem.serve sys (Nv_httpd.Http.get "/") with
-      | Nsystem.Served _ -> ()
-      | Nsystem.Stopped _ -> failwith "hostperf: monitored request failed"
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let instructions = Monitor.instructions_retired monitor - instr0 in
-    (instructions, mips instructions dt)
-
-(* Host cost of the flight recorder on the same monitored server:
-   plain baseline vs. disabled (the guarded call sites cost one atomic
-   load each) vs. enabled (events recorded into the rings). The three
-   configurations are measured interleaved so host-load drift between
-   phases cancels out of the ratios, and the disabled/baseline gate
-   ratio is the *best* pairwise ratio across reps: scheduler noise on
-   a loaded host easily fakes a several-percent slowdown in any single
-   pair, but a real regression in the guarded call sites shows up in
-   every pair, so only a unanimously-slow disabled path fails the
-   2% budget. *)
-let trace_hostperf ~reps ~requests =
-  let instructions = ref 0 in
-  let plain = ref 0. in
-  let off = ref 0. in
-  let on_ = ref 0. in
-  let best_off_ratio = ref 0. in
-  for _ = 1 to reps do
-    let instr, plain_m = monitor_hostperf ~engine:Nv_vm.Memory.Icache ~requests () in
-    instructions := instr;
-    plain := Float.max !plain plain_m;
-    let _, off_m =
-      monitor_hostperf ~trace:false ~engine:Nv_vm.Memory.Icache ~requests ()
-    in
-    off := Float.max !off off_m;
-    best_off_ratio := Float.max !best_off_ratio (off_m /. plain_m);
-    let _, on_m = monitor_hostperf ~trace:true ~engine:Nv_vm.Memory.Icache ~requests () in
-    on_ := Float.max !on_ on_m
-  done;
-  (!instructions, !plain, !off, !on_, !best_off_ratio)
+    fun () ->
+      let instr0 = Monitor.instructions_retired monitor in
+      fun () ->
+        for _ = 1 to requests do
+          match Nsystem.serve sys (Nv_httpd.Http.get "/") with
+          | Nsystem.Served _ -> ()
+          | Nsystem.Stopped _ -> failwith "hostperf: monitored request failed"
+        done;
+        Monitor.instructions_retired monitor - instr0
 
 (* Microbench for domain-parallel variant execution: an outer loop of
    cond_chk detection calls (syscall 21) separated by pure compute
@@ -806,75 +799,54 @@ let parperf_program =
     |}
     parperf_rendezvous parperf_spin
 
-let parallel_hostperf ~variants ~parallel ~reps =
+(* Each trial runs a freshly built system to exit and returns its
+   monitor. *)
+let parallel_row ~variants ~parallel =
   let image = Nv_vm.Asm.assemble parperf_program in
-  let instructions = ref 0 in
-  let relaxed = ref 0 in
-  let best = ref 0. in
-  for _ = 1 to reps do
+  let variation = Variation.uid_diversity_n variants in
+  fun () ->
     let sys =
-      Nsystem.of_one_image ~parallel ~variation:(Variation.uid_diversity_n variants)
-        image
+      Nsystem.of_one_image ~parallel ~engine:Nv_vm.Memory.Icache ~variation image
     in
-    let t0 = Unix.gettimeofday () in
-    (match Nsystem.run sys with
-    | Monitor.Exited 0 -> ()
-    | _ -> failwith "hostperf: parallel microbench did not exit cleanly");
-    let dt = Unix.gettimeofday () -. t0 in
-    let monitor = Nsystem.monitor sys in
-    instructions := Monitor.instructions_retired monitor;
-    relaxed := (Monitor.stats monitor).Monitor.st_relaxed_checks;
-    best := Float.max !best (mips !instructions dt)
-  done;
-  (!instructions, !relaxed, !best)
+    fun () ->
+      match Nsystem.run sys with
+      | Monitor.Exited 0 -> Nsystem.monitor sys
+      | _ -> failwith "hostperf: parallel microbench did not exit cleanly"
+
+(* [row engine] for each engine, measured together. Every engine must
+   retire the same instructions in every trial; a drift means an engine
+   changed observable semantics. Returns one trial's instructions and
+   the reference, icache and block guest-MIPS. *)
+let engine_mips ~warmup ~trials ~retired row =
+  let results =
+    measure ~warmup ~trials (List.map row [ Nv_vm.Memory.Reference; Icache; Block ])
+  in
+  let counts = List.map (Array.map (fun (r, _) -> retired r)) results in
+  if not (List.for_all (( = ) (List.hd counts)) counts) then
+    failwith "hostperf: engines disagree on retired instructions";
+  match List.map (summarize (fun (r, seconds) -> mips (retired r, seconds))) results with
+  | [ reference; icache; block ] -> ((List.hd counts).(0), reference, icache, block)
+  | _ -> assert false
 
 let report_hostperf ?(path = "BENCH_results.json") () =
-  section "HOSTPERF: host wall-clock guest-MIPS (interpreter and 2-variant monitor)";
-  let interp_instr, interp_ref, _ =
-    interp_hostperf ~engine:Nv_vm.Memory.Reference ~reps:3
+  section "HOSTPERF: host wall-clock guest-MIPS, median (min-max) of warmed trials";
+  let interp_instr, interp_ref, interp_fast, interp_block =
+    engine_mips ~warmup:1 ~trials:5 ~retired:Nv_vm.Cpu.instructions_retired interp_row
   in
-  let _, interp_fast, _ = interp_hostperf ~engine:Nv_vm.Memory.Icache ~reps:3 in
-  let block_instr, interp_block, (block_compiled, block_hits, block_invalidations) =
-    interp_hostperf ~engine:Nv_vm.Memory.Block ~reps:3
+  (* The block engine's counters for one run from a fresh load. *)
+  let block_compiled, block_hits, block_invalidations =
+    Nv_vm.Cpu.block_stats (interp_row Nv_vm.Memory.Block () ())
   in
-  (* The three tiers must retire the identical instruction stream; a
-     drift here means the block engine changed observable semantics. *)
-  if block_instr <> interp_instr then
-    failwith
-      (Printf.sprintf "hostperf: engines disagree on retired instructions (%d vs %d)"
-         interp_instr block_instr);
   let requests = 40 in
-  (* Best of 3 fresh systems each, like the interpreter rows: the
-     trace-overhead gate compares against mon_fast, so a single noisy
-     measurement here would show up as phantom recorder cost. *)
-  let best_of reps f =
-    let instructions = ref 0 in
-    let best = ref 0. in
-    for _ = 1 to reps do
-      let instr, m = f () in
-      instructions := instr;
-      best := Float.max !best m
-    done;
-    (!instructions, !best)
+  let mon_instr, mon_ref, mon_fast, mon_block =
+    engine_mips ~warmup:1 ~trials:7 ~retired:Fun.id (fun engine ->
+        monitor_row ~engine ~requests ())
   in
-  let mon_instr, mon_ref =
-    best_of 3 (fun () -> monitor_hostperf ~engine:Nv_vm.Memory.Reference ~requests ())
-  in
-  let _, mon_fast =
-    best_of 3 (fun () -> monitor_hostperf ~engine:Nv_vm.Memory.Icache ~requests ())
-  in
-  let mon_block_instr, mon_block =
-    best_of 3 (fun () -> monitor_hostperf ~engine:Nv_vm.Memory.Block ~requests ())
-  in
-  if mon_block_instr <> mon_instr then
-    failwith
-      (Printf.sprintf
-         "hostperf: monitor engines disagree on retired instructions (%d vs %d)" mon_instr
-         mon_block_instr);
-  let interp_speedup = interp_fast /. interp_ref in
-  let mon_speedup = mon_fast /. mon_ref in
-  let block_vs_icache = interp_block /. interp_fast in
-  let mon_block_vs_icache = mon_block /. mon_fast in
+  let interp_speedup = interp_fast.p50 /. interp_ref.p50 in
+  let mon_speedup = mon_fast.p50 /. mon_ref.p50 in
+  let block_vs_icache = interp_block.p50 /. interp_fast.p50 in
+  let mon_block_vs_icache = mon_block.p50 /. mon_fast.p50 in
+  let mips_cell = spread (Printf.sprintf "%.2f") in
   Nv_util.Tablefmt.print
     ~header:
       [
@@ -884,15 +856,14 @@ let report_hostperf ?(path = "BENCH_results.json") () =
     ~rows:
       [
         [
-          "interpreter microbench"; string_of_int interp_instr;
-          Printf.sprintf "%.2f" interp_ref; Printf.sprintf "%.2f" interp_fast;
-          Printf.sprintf "%.2f" interp_block; Printf.sprintf "%.2fx" block_vs_icache;
+          "interpreter microbench"; string_of_int interp_instr; mips_cell interp_ref;
+          mips_cell interp_fast; mips_cell interp_block;
+          Printf.sprintf "%.2fx" block_vs_icache;
         ];
         [
           Printf.sprintf "2-variant monitor (%d requests)" requests;
-          string_of_int mon_instr; Printf.sprintf "%.2f" mon_ref;
-          Printf.sprintf "%.2f" mon_fast; Printf.sprintf "%.2f" mon_block;
-          Printf.sprintf "%.2fx" mon_block_vs_icache;
+          string_of_int mon_instr; mips_cell mon_ref; mips_cell mon_fast;
+          mips_cell mon_block; Printf.sprintf "%.2fx" mon_block_vs_icache;
         ];
       ]
     ();
@@ -903,14 +874,26 @@ let report_hostperf ?(path = "BENCH_results.json") () =
      compiled, %d cache hits, %d invalidations\n"
     block_vs_icache block_compiled block_hits block_invalidations;
   let host_cores = Domain.recommended_domain_count () in
-  let par_variants = [ 2; 4 ] in
+  let monitor_mips (monitor, seconds) =
+    mips (Monitor.instructions_retired monitor, seconds)
+  in
   let par_rows =
     List.map
       (fun variants ->
-        let instr, relaxed, seq_mips = parallel_hostperf ~variants ~parallel:false ~reps:3 in
-        let _, _, par_mips = parallel_hostperf ~variants ~parallel:true ~reps:3 in
-        (variants, instr, relaxed, seq_mips, par_mips, par_mips /. seq_mips))
-      par_variants
+        let row parallel = parallel_row ~variants ~parallel in
+        match measure ~warmup:1 ~trials:3 [ row false; row true ] with
+        | [ seq; par ] ->
+          let monitor = fst seq.(0) in
+          let seq_mips = summarize monitor_mips seq in
+          let par_mips = summarize monitor_mips par in
+          ( variants,
+            Monitor.instructions_retired monitor,
+            (Monitor.stats monitor).Monitor.st_relaxed_checks,
+            seq_mips,
+            par_mips,
+            par_mips.p50 /. seq_mips.p50 )
+        | _ -> assert false)
+      [ 2; 4 ]
   in
   Nv_util.Tablefmt.print
     ~header:
@@ -923,9 +906,8 @@ let report_hostperf ?(path = "BENCH_results.json") () =
          (fun (variants, instr, relaxed, seq_mips, par_mips, speedup) ->
            [
              Printf.sprintf "%d-variant relaxed microbench" variants;
-             string_of_int instr; string_of_int relaxed;
-             Printf.sprintf "%.2f" seq_mips; Printf.sprintf "%.2f" par_mips;
-             Printf.sprintf "%.2fx" speedup;
+             string_of_int instr; string_of_int relaxed; mips_cell seq_mips;
+             mips_cell par_mips; Printf.sprintf "%.2fx" speedup;
            ])
          par_rows)
     ();
@@ -933,8 +915,27 @@ let report_hostperf ?(path = "BENCH_results.json") () =
     "engine: one pinned domain per variant; host has %d core(s) (parallel speedup\n\
      needs a multi-core host — on one core both modes run the same relaxed protocol)\n"
     host_cores;
+  (* Flight-recorder rows on the same monitored server: baseline,
+     disabled and enabled. Baseline and disabled are the same program —
+     the recorder is off in both — so their ratio bounds measurement
+     noise, not the cost of the guarded call sites (a baseline without
+     those sites would need a build switch). That ratio is the *best*
+     pair across trials: scheduler noise on a loaded host easily fakes a
+     several-percent gap in any single pair, so only a gap present in
+     every pair fails the 2% budget. *)
+  let trace_requests = 120 in
   let trace_instr, trace_plain, trace_off, trace_on, best_off_ratio =
-    trace_hostperf ~reps:5 ~requests:120
+    let row trace =
+      monitor_row ~trace ~engine:Nv_vm.Memory.Icache ~requests:trace_requests ()
+    in
+    match measure ~warmup:1 ~trials:5 [ row false; row false; row true ] with
+    | [ plain; off; on_ ] ->
+      ( fst plain.(0),
+        summarize mips plain,
+        summarize mips off,
+        summarize mips on_,
+        Array.fold_left Float.max 0. (Array.map2 (fun p o -> mips o /. mips p) plain off) )
+    | _ -> assert false
   in
   let disabled_frac = best_off_ratio -. 1.0 in
   Nv_util.Tablefmt.print
@@ -946,15 +947,16 @@ let report_hostperf ?(path = "BENCH_results.json") () =
     ~rows:
       [
         [
-          "2-variant monitor (120 requests)"; string_of_int trace_instr;
-          Printf.sprintf "%.2f" trace_plain; Printf.sprintf "%.2f" trace_off;
-          Printf.sprintf "%.2f" trace_on;
-          Printf.sprintf "%.3fx" (trace_on /. trace_off);
+          Printf.sprintf "2-variant monitor (%d requests)" trace_requests;
+          string_of_int trace_instr; mips_cell trace_plain; mips_cell trace_off;
+          mips_cell trace_on;
+          Printf.sprintf "%.3fx" (trace_on.p50 /. trace_off.p50);
         ];
       ]
     ();
   Printf.printf
-    "flight recorder disabled vs. plain monitor: %+.2f%% best pair (target: within 2%%)\n"
+    "flight recorder disabled vs. baseline (same program, recorder off in both): %+.2f%% \
+     best pair (noise bound: within 2%%)\n"
     (100.0 *. disabled_frac);
   let mode name instructions ref_mips fast_mips speedup =
     ( name,
@@ -972,8 +974,8 @@ let report_hostperf ?(path = "BENCH_results.json") () =
         [
           ("instructions", Json.Num (float_of_int instructions));
           ("relaxed_checks", Json.Num (float_of_int relaxed));
-          ("sequential_mips", Json.Num seq_mips);
-          ("parallel_mips", Json.Num par_mips);
+          ("sequential_mips", Json.Num seq_mips.Nv_util.Stats.p50);
+          ("parallel_mips", Json.Num par_mips.Nv_util.Stats.p50);
           ("speedup", Json.Num speedup);
           ("engine_workers", Json.Num (float_of_int variants));
           ("host_cores", Json.Num (float_of_int host_cores));
@@ -984,18 +986,18 @@ let report_hostperf ?(path = "BENCH_results.json") () =
       ( "hostperf",
         Json.Obj
           ([
-             mode "interpreter" interp_instr interp_ref interp_fast interp_speedup;
-             mode "monitor_2variant" mon_instr mon_ref mon_fast mon_speedup;
+             mode "interpreter" interp_instr interp_ref.p50 interp_fast.p50 interp_speedup;
+             mode "monitor_2variant" mon_instr mon_ref.p50 mon_fast.p50 mon_speedup;
              ( "block",
                Json.Obj
                  [
-                   ("instructions", Json.Num (float_of_int block_instr));
-                   ("mips", Json.Num interp_block);
-                   ("icache_mips", Json.Num interp_fast);
-                   ("reference_mips", Json.Num interp_ref);
+                   ("instructions", Json.Num (float_of_int interp_instr));
+                   ("mips", Json.Num interp_block.p50);
+                   ("icache_mips", Json.Num interp_fast.p50);
+                   ("reference_mips", Json.Num interp_ref.p50);
                    ("speedup_vs_icache", Json.Num block_vs_icache);
-                   ("speedup_vs_reference", Json.Num (interp_block /. interp_ref));
-                   ("monitor_mips", Json.Num mon_block);
+                   ("speedup_vs_reference", Json.Num (interp_block.p50 /. interp_ref.p50));
+                   ("monitor_mips", Json.Num mon_block.p50);
                    ("monitor_speedup_vs_icache", Json.Num mon_block_vs_icache);
                    ("compiled_blocks", Json.Num (float_of_int block_compiled));
                    ("block_hits", Json.Num (float_of_int block_hits));
@@ -1005,10 +1007,10 @@ let report_hostperf ?(path = "BENCH_results.json") () =
                Json.Obj
                  [
                    ("instructions", Json.Num (float_of_int trace_instr));
-                   ("baseline_mips", Json.Num trace_plain);
-                   ("disabled_mips", Json.Num trace_off);
-                   ("enabled_mips", Json.Num trace_on);
-                   ("enabled_over_disabled", Json.Num (trace_on /. trace_off));
+                   ("baseline_mips", Json.Num trace_plain.p50);
+                   ("disabled_mips", Json.Num trace_off.p50);
+                   ("enabled_mips", Json.Num trace_on.p50);
+                   ("enabled_over_disabled", Json.Num (trace_on.p50 /. trace_off.p50));
                    ("disabled_vs_monitor_frac", Json.Num disabled_frac);
                  ] );
            ]
@@ -1017,116 +1019,92 @@ let report_hostperf ?(path = "BENCH_results.json") () =
   Printf.printf "updated %s (hostperf)\n" path
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure           *)
+(* micro: host time of each report's kernel                            *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_tests () =
-  let open Bechamel in
-  let table3_samples =
-    lazy
-      (match Deploy.build Deploy.Two_variant_uid with
-      | Error e -> failwith e
-      | Ok sys -> (
-        match Nv_workload.Measure.profile ~requests:10 sys with
-        | Error e -> failwith e
-        | Ok samples -> samples))
-  in
-  let figure2_system =
-    lazy (match Deploy.build Deploy.Two_variant_uid with Ok s -> s | Error e -> failwith e)
-  in
-  let httpd_tprog =
-    lazy
-      (match
-         Nv_minic.Typecheck.check (Nv_minic.Parser.parse (Nv_httpd.Httpd_source.source ()))
-       with
-      | Ok t -> t
-      | Error _ -> failwith "typecheck failed")
+(* One row per table/figure, each a [measure] configuration whose setup
+   (profiling, building, typechecking) runs once, before the clock. *)
+let micro_rows () =
+  let typed_httpd =
+    match
+      Nv_minic.Typecheck.check (Nv_minic.Parser.parse (Nv_httpd.Httpd_source.source ()))
+    with
+    | Ok t -> t
+    | Error _ -> failwith "typecheck failed"
   in
   [
-    Test.make ~name:"table1/reexpression-properties"
-      (Staged.stage (fun () ->
-           let r0 = Reexpression.uid_for_variant 0 in
-           let r1 = Reexpression.uid_for_variant 1 in
-           for x = 0 to 4095 do
-             assert (Reexpression.inverse_holds r1 x);
-             assert (Reexpression.disjoint_at r0 r1 x)
-           done));
-    Test.make ~name:"table2/detection-syscall-roundtrip"
-      (Staged.stage (fun () ->
-           match run_table2_demo () with
-           | Monitor.Exited 0, _ -> ()
-           | _ -> failwith "table2 demo failed"));
-    Test.make ~name:"table3/webbench-simulation"
-      (Staged.stage (fun () ->
-           let samples = Lazy.force table3_samples in
-           ignore
-             (Nv_workload.Webbench.run ~variants:2 ~samples Nv_workload.Webbench.saturated)));
-    Test.make ~name:"figure1/address-partition-detection"
-      (Staged.stage (fun () ->
-           match run_figure1 () with
-           | _, Monitor.Alarm _ -> ()
-           | _ -> failwith "figure1 attack not detected"));
-    Test.make ~name:"figure2/monitored-request"
-      (Staged.stage (fun () ->
-           let sys = Lazy.force figure2_system in
-           match Nsystem.serve sys (Nv_httpd.Http.get "/") with
-           | Nsystem.Served _ -> ()
-           | Nsystem.Stopped _ -> failwith "serve failed"));
-    Test.make ~name:"x1/httpd-transformation"
-      (Staged.stage (fun () ->
-           let t = Lazy.force httpd_tprog in
-           let instrumented, _ = Ut.instrument t in
-           ignore (Ut.reexpress ~f:(Reexpression.uid_for_variant 1) instrumented)));
-    Test.make ~name:"x2/uid-overflow-detection"
-      (Staged.stage (fun () ->
-           let attack = Option.get (Nv_attacks.Campaign.find "uid-null-overflow") in
-           match Nv_attacks.Campaign.run_attack attack Deploy.Two_variant_uid with
-           | Ok (Nv_attacks.Campaign.Detected _) -> ()
-           | _ -> failwith "x2 cell changed"));
-    Test.make ~name:"x3/user-space-mode-roundtrip"
-      (Staged.stage (fun () ->
-           let t = Lazy.force httpd_tprog in
-           let instrumented, _ = Ut.instrument ~mode:Ut.User_space t in
-           ignore (Ut.reexpress ~mode:Ut.User_space ~f:(Reexpression.uid_for_variant 1) instrumented)));
+    ( "table1/reexpression-properties",
+      fun () () ->
+        let r0 = Reexpression.uid_for_variant 0 in
+        let r1 = Reexpression.uid_for_variant 1 in
+        for x = 0 to 4095 do
+          assert (Reexpression.inverse_holds r1 x);
+          assert (Reexpression.disjoint_at r0 r1 x)
+        done );
+    ( "table2/detection-syscall-roundtrip",
+      fun () () ->
+        match run_table2_demo () with
+        | Monitor.Exited 0, _ -> ()
+        | _ -> failwith "table2 demo failed" );
+    ( "table3/webbench-simulation",
+      let samples =
+        match Deploy.build Deploy.Two_variant_uid with
+        | Error e -> failwith e
+        | Ok sys -> (
+          match Nv_workload.Measure.profile ~requests:10 sys with
+          | Error e -> failwith e
+          | Ok samples -> samples)
+      in
+      fun () () ->
+        ignore
+          (Nv_workload.Webbench.run ~variants:2 ~samples Nv_workload.Webbench.saturated) );
+    ( "figure1/address-partition-detection",
+      fun () () ->
+        match run_figure1 () with
+        | _, Monitor.Alarm _ -> ()
+        | _ -> failwith "figure1 attack not detected" );
+    ( "figure2/monitored-request",
+      let sys =
+        match Deploy.build Deploy.Two_variant_uid with Ok s -> s | Error e -> failwith e
+      in
+      fun () () ->
+        match Nsystem.serve sys (Nv_httpd.Http.get "/") with
+        | Nsystem.Served _ -> ()
+        | Nsystem.Stopped _ -> failwith "serve failed" );
+    ( "x1/httpd-transformation",
+      fun () () ->
+        let instrumented, _ = Ut.instrument typed_httpd in
+        ignore (Ut.reexpress ~f:(Reexpression.uid_for_variant 1) instrumented) );
+    ( "x2/uid-overflow-detection",
+      let attack = Option.get (Nv_attacks.Campaign.find "uid-null-overflow") in
+      fun () () ->
+        match Nv_attacks.Campaign.run_attack attack Deploy.Two_variant_uid with
+        | Ok (Nv_attacks.Campaign.Detected _) -> ()
+        | _ -> failwith "x2 cell changed" );
+    ( "x3/user-space-mode-roundtrip",
+      fun () () ->
+        let instrumented, _ = Ut.instrument ~mode:Ut.User_space typed_httpd in
+        ignore
+          (Ut.reexpress ~mode:Ut.User_space ~f:(Reexpression.uid_for_variant 1)
+             instrumented) );
   ]
 
+let duration seconds =
+  if seconds >= 1. then Printf.sprintf "%.2f s" seconds
+  else if seconds >= 1e-3 then Printf.sprintf "%.2f ms" (seconds *. 1e3)
+  else if seconds >= 1e-6 then Printf.sprintf "%.2f us" (seconds *. 1e6)
+  else Printf.sprintf "%.0f ns" (seconds *. 1e9)
+
 let run_micro () =
-  section "Bechamel micro-benchmarks (one per table/figure)";
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let tests = bechamel_tests () in
-  let results =
-    List.map
-      (fun test ->
-        let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-        let ols =
-          Analyze.all
-            (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-            instance raw
-        in
-        (test, ols))
-      tests
-  in
+  section "Micro-benchmarks (one per table/figure), median (min-max) of warmed trials";
+  let rows = micro_rows () in
+  let timings = measure ~warmup:2 ~trials:11 (List.map snd rows) in
   Nv_util.Tablefmt.print
     ~header:[ "experiment harness"; "time per run" ]
     ~rows:
-      (List.concat_map
-         (fun (_test, ols) ->
-           Hashtbl.fold
-             (fun name result acc ->
-               let estimate =
-                 match Analyze.OLS.estimates result with
-                 | Some (x :: _) ->
-                   if x > 1e9 then Printf.sprintf "%.2f s" (x /. 1e9)
-                   else if x > 1e6 then Printf.sprintf "%.2f ms" (x /. 1e6)
-                   else if x > 1e3 then Printf.sprintf "%.2f us" (x /. 1e3)
-                   else Printf.sprintf "%.0f ns" x
-                 | Some [] | None -> "n/a"
-               in
-               [ name; estimate ] :: acc)
-             ols [])
-         results)
+      (List.map2
+         (fun (name, _) trials -> [ name; spread duration (summarize snd trials) ])
+         rows timings)
     ()
 
 (* ------------------------------------------------------------------ *)

@@ -333,8 +333,8 @@ let run_attack_traced ?parallel ?recover attack config =
 type matrix = (attack * (Deploy.config * verdict) list) list
 
 (* Each (attack, config) cell builds its own fresh system, so the
-   cells are independent; under [parallel] they are fanned out on the
-   shared domain pool and reassembled in matrix order. *)
+   cells are independent; under [parallel] they are fanned out over
+   domains by [Dompool.map_array] and reassembled in matrix order. *)
 let run_matrix ?parallel ?recover ?(attacks = attacks) ?(configs = Deploy.matrix) () =
   let parallel =
     match parallel with Some b -> b | None -> Nv_util.Dompool.env_default ()
@@ -349,8 +349,7 @@ let run_matrix ?parallel ?recover ?(attacks = attacks) ?(configs = Deploy.matrix
       (List.concat_map (fun a -> List.map (fun c -> (a, c)) configs) attacks)
   in
   let results =
-    if parallel then Nv_util.Dompool.map_array (Nv_util.Dompool.global ()) cell pairs
-    else Array.map cell pairs
+    if parallel then Nv_util.Dompool.map_array cell pairs else Array.map cell pairs
   in
   let nconfigs = List.length configs in
   List.mapi

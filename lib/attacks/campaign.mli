@@ -121,8 +121,8 @@ val run_matrix :
     {!Nv_httpd.Deploy.matrix} — the four Table 3 columns plus the
     N=3/4 portfolio columns). Cells are independent (each builds a
     fresh system); under [parallel] (default: [NV_PARALLEL]) they run
-    concurrently on the shared domain pool, with results reassembled
-    in deterministic matrix order. [recover] as in {!run_attack}
+    concurrently through {!Nv_util.Dompool.map_array}, with results
+    reassembled in deterministic matrix order. [recover] as in {!run_attack}
     (recovered-vs-halted comparison). *)
 
 val render_matrix : matrix -> string

@@ -1,187 +1,34 @@
-(* Worker-pool over OCaml 5 domains. One mutex guards the task queue,
-   the stop flag and every promise state; [has_task] wakes idle
-   workers, [progress] is broadcast on every promise completion so
-   awaiting callers re-check their promise (and help with whatever is
-   queued behind it).
-
-   A task carries a [drop] alongside its [run]: [shutdown] drains the
-   queue and drops every task that never started, settling its promise
-   as [Dropped] so an awaiting caller raises instead of blocking on a
-   promise that no domain will ever complete. *)
-
-type task = Task : { run : unit -> unit; drop : unit -> unit } -> task
-
-type t = {
-  mutex : Mutex.t;
-  has_task : Condition.t;
-  progress : Condition.t;
-  tasks : task Queue.t;
-  mutable stop : bool;
-  mutable domains : unit Domain.t list;
-  size : int;
-}
-
-type 'a state =
-  | Pending
-  | Done of 'a
-  | Raised of exn * Printexc.raw_backtrace
-  | Dropped  (* never started: its pool was shut down first *)
-
-type 'a promise = { pool : t; mutable state : 'a state }
-
-let size t = t.size
-
-let worker pool =
-  let rec loop () =
-    Mutex.lock pool.mutex;
-    let rec next () =
-      if pool.stop then None
-      else
-        match Queue.take_opt pool.tasks with
-        | Some _ as task -> task
-        | None ->
-          Condition.wait pool.has_task pool.mutex;
-          next ()
-    in
-    let task = next () in
-    Mutex.unlock pool.mutex;
-    match task with
-    | None -> ()
-    | Some (Task { run; _ }) ->
-      run ();
-      loop ()
-  in
-  loop ()
-
-let create ~size =
-  if size < 1 then invalid_arg "Dompool.create: size must be >= 1";
-  let pool =
-    {
-      mutex = Mutex.create ();
-      has_task = Condition.create ();
-      progress = Condition.create ();
-      tasks = Queue.create ();
-      stop = false;
-      domains = [];
-      size;
-    }
-  in
-  pool.domains <- List.init size (fun _ -> Domain.spawn (fun () -> worker pool));
-  pool
-
-let dropped_message = "Dompool.await: task dropped by shutdown"
-
-let shutdown pool =
-  Mutex.lock pool.mutex;
-  pool.stop <- true;
-  (* Settle every never-started task in the same critical section that
-     sets [stop]: once any caller observes the pool as stopped, every
-     queued promise is already [Dropped]. *)
-  Queue.iter (fun (Task { drop; _ }) -> drop ()) pool.tasks;
-  Queue.clear pool.tasks;
-  Condition.broadcast pool.has_task;
-  Condition.broadcast pool.progress;
-  Mutex.unlock pool.mutex;
-  List.iter Domain.join pool.domains;
-  pool.domains <- []
-
-let submit pool f =
-  let p = { pool; state = Pending } in
-  let run () =
-    (* The task body runs unlocked; only the state write is guarded. *)
-    let state =
-      match f () with
-      | v -> Done v
-      | exception e -> Raised (e, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock pool.mutex;
-    p.state <- state;
-    Condition.broadcast pool.progress;
-    Mutex.unlock pool.mutex
-  in
-  let drop () = p.state <- Dropped in
-  Mutex.lock pool.mutex;
-  if pool.stop then begin
-    Mutex.unlock pool.mutex;
-    invalid_arg "Dompool.submit: pool is shut down"
-  end;
-  Queue.add (Task { run; drop }) pool.tasks;
-  Condition.signal pool.has_task;
-  Mutex.unlock pool.mutex;
-  p
-
-(* Help-while-awaiting: as long as the promise is pending, pop and run
-   queued tasks (any task — progress on the queue is progress towards
-   the promise, which is either queued behind them or already running
-   on a worker that will broadcast [progress] when it completes). *)
-let await_result p =
-  let pool = p.pool in
-  let rec loop () =
-    Mutex.lock pool.mutex;
-    match p.state with
-    | Done v ->
-      Mutex.unlock pool.mutex;
-      Ok v
-    | Raised (e, bt) ->
-      Mutex.unlock pool.mutex;
-      Error (e, bt)
-    | Dropped ->
-      Mutex.unlock pool.mutex;
-      Error (Invalid_argument dropped_message, Printexc.get_callstack 0)
-    | Pending -> (
-      match Queue.take_opt pool.tasks with
-      | Some (Task { run; _ }) ->
-        Mutex.unlock pool.mutex;
-        run ();
-        loop ()
-      | None ->
-        Condition.wait pool.progress pool.mutex;
-        Mutex.unlock pool.mutex;
-        loop ())
-  in
-  loop ()
-
-let await p =
-  match await_result p with
-  | Ok v -> v
-  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-
-let map_array pool f xs =
+(* Each index is claimed from [next] by exactly one domain, which alone
+   writes its slot of [results]; the caller reads the slots only after
+   joining every helper, and [Domain.join] orders the helpers' writes
+   before those reads. *)
+let map_array f xs =
   let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let promises = Array.map (fun x -> submit pool (fun () -> f x)) xs in
-    (* Await every task before raising anything: failure order must be
-       the lowest index, not whichever domain lost the race. *)
-    let results = Array.map await_result promises in
-    Array.iter
-      (function
-        | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-        | Ok _ -> ())
-      results;
-    Array.map (function Ok v -> v | Error _ -> assert false) results
-  end
-
-(* The global pool is created lazily under its own mutex: nested users
-   (pool tasks that themselves want the pool) may race to create it. *)
-let global_mutex = Mutex.create ()
-
-let global_pool = ref None
-
-let default_size () = max 1 (Domain.recommended_domain_count () - 1)
-
-let global () =
-  Mutex.lock global_mutex;
-  let pool =
-    match !global_pool with
-    | Some pool -> pool
-    | None ->
-      let pool = create ~size:(default_size ()) in
-      global_pool := Some pool;
-      pool
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <-
+        Some
+          (match f xs.(i) with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+      work ()
+    end
   in
-  Mutex.unlock global_mutex;
-  pool
+  let helpers = min (n - 1) (Domain.recommended_domain_count () - 1) in
+  let domains = List.init (max 0 helpers) (fun _ -> Domain.spawn work) in
+  work ();
+  List.iter Domain.join domains;
+  (* [Array.map] visits the slots in index order, so the first [Error]
+     it meets is the lowest failed index. *)
+  Array.map
+    (function
+      | Some (Ok v) -> v
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None -> assert false)
+    results
 
 let env_default () =
   match Sys.getenv_opt "NV_PARALLEL" with Some "1" -> true | Some _ | None -> false

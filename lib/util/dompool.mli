@@ -1,64 +1,18 @@
-(** A small persistent pool of worker domains.
+(** Data-parallel maps over OCaml 5 domains.
 
-    A pool owns a fixed set of domains created once at {!create}; work
-    is handed over with {!submit} (mutex + condition rendezvous, no
-    per-task [Domain.spawn]) and collected with {!await}. An awaiting
-    caller helps drain the task queue while its own promise is pending,
-    so a pool task may itself submit to and await on the same pool
-    without deadlock — nested parallelism (e.g. an attack campaign cell
-    whose monitor also fans out variant quanta) degrades gracefully to
-    the caller running the work inline.
+    {!map_array} spawns its helper domains when called and joins them
+    before it returns, so no domain outlives a call and a nested call
+    simply spawns helpers of its own. *)
 
-    Worker exceptions are captured together with their backtrace and
-    re-raised on the awaiting caller, so a pool does not change which
-    exceptions a computation can raise — only which domain runs it.
-    {!map_array} waits for {e every} task to finish before re-raising
-    the lowest-index exception, making failure order deterministic
-    regardless of scheduling. *)
-
-type t
-(** A pool of worker domains. *)
-
-val create : size:int -> t
-(** [create ~size] spawns [size] worker domains ([size >= 1] or
-    [Invalid_argument]). *)
-
-val size : t -> int
-(** Number of worker domains (excluding helping callers). *)
-
-val shutdown : t -> unit
-(** Stop the workers and join their domains. Queued tasks that have
-    not started are dropped; {!await} on their promises raises
-    [Invalid_argument "Dompool.await: task dropped by shutdown"]
-    instead of blocking forever. Submitting to a shut-down pool raises
-    [Invalid_argument]. *)
-
-val global : unit -> t
-(** The shared process-wide pool, created on first use with
-    [max 1 (Domain.recommended_domain_count () - 1)] workers (the
-    calling domain itself is the extra effective worker, since awaiting
-    callers help). Never shut down explicitly; worker domains block on
-    an idle condition and do not prevent process exit. *)
-
-type 'a promise
-(** The future result of a submitted task. *)
-
-val submit : t -> (unit -> 'a) -> 'a promise
-(** Enqueue a task. It runs on some worker domain (or on a caller
-    helping while it awaits). *)
-
-val await : 'a promise -> 'a
-(** Wait for the task to finish, helping with queued work meanwhile.
-    Re-raises the task's exception (with its backtrace) if it failed;
-    raises [Invalid_argument] if the task was dropped by {!shutdown}
-    before it started. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array pool f xs] runs [f xs.(i)] for every [i] on the pool and
-    returns the results in order. All tasks are run to completion even
-    when some raise; afterwards the exception of the {e lowest} failed
-    index is re-raised with its original backtrace. [f] must therefore
-    tolerate running concurrently with itself on other elements. *)
+val map_array : ('a -> 'b) -> 'a array -> 'b array
+(** [map_array f xs] computes [f xs.(i)] for every [i] and returns the
+    results in order. The calling domain and up to
+    [Domain.recommended_domain_count () - 1] helper domains claim
+    indices from one shared counter. Every element runs to completion
+    even when some raise; afterwards the exception of the {e lowest}
+    failed index is re-raised with its original backtrace, so failure
+    order does not depend on scheduling. [f] must therefore tolerate
+    running concurrently with itself on other elements. *)
 
 val env_default : unit -> bool
 (** The process-wide parallelism default: [true] iff the [NV_PARALLEL]

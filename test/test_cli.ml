@@ -234,6 +234,73 @@ let test_bench_results_json () =
   Alcotest.(check bool) "fleet tail latency" true (contains json "latency_p999_ms");
   Alcotest.(check bool) "fleet error budget" true (contains json "error_budget_used")
 
+(* hostperf's timings vary run to run, so this checks that every key the
+   CI gates read is a number and pins only the deterministic counts. *)
+let test_bench_hostperf () =
+  let module Json = Nv_util.Metrics.Json in
+  let json_path = Filename.temp_file "nvcli" ".json" in
+  let status, _ = run_capture (Printf.sprintf "../bench/main.exe hostperf %s" json_path) in
+  let json = read_file json_path in
+  Sys.remove json_path;
+  Alcotest.(check int) "exit 0" 0 status;
+  let hostperf =
+    match Json.of_string json with
+    | Error e -> Alcotest.failf "hostperf output is not valid JSON: %s" e
+    | Ok json -> (
+      match Json.member "hostperf" json with
+      | Some row -> row
+      | None -> Alcotest.fail "no hostperf key")
+  in
+  let number row key =
+    match Option.bind (Json.member row hostperf) (Json.member key) with
+    | Some (Json.Num x) -> x
+    | _ -> Alcotest.failf "hostperf.%s.%s is not a number" row key
+  in
+  List.iter
+    (fun (row, keys) -> List.iter (fun key -> ignore (number row key)) keys)
+    [
+      ("parallel_2variant", [ "speedup"; "host_cores"; "relaxed_checks" ]);
+      ( "block",
+        [
+          "mips"; "speedup_vs_icache"; "speedup_vs_reference"; "compiled_blocks";
+          "block_hits"; "invalidations";
+        ] );
+      ( "trace_overhead",
+        [
+          "baseline_mips"; "disabled_mips"; "enabled_over_disabled";
+          "disabled_vs_monitor_frac";
+        ] );
+    ];
+  List.iter
+    (fun (row, key, expected) ->
+      Alcotest.(check (float 0.)) (row ^ "." ^ key) expected (number row key))
+    [
+      ("interpreter", "instructions", 900004.);
+      ("block", "instructions", 900004.);
+      ("block", "compiled_blocks", 3.);
+      ("block", "block_hits", 149998.);
+      ("block", "invalidations", 0.);
+      ("parallel_2variant", "relaxed_checks", 40.);
+      ("parallel_4variant", "relaxed_checks", 40.);
+    ]
+
+let test_bench_micro () =
+  let status, output = run_capture "../bench/main.exe micro" in
+  Alcotest.(check int) "exit 0" 0 status;
+  List.iter
+    (fun kernel ->
+      Alcotest.(check bool) kernel true (contains output ("| " ^ kernel ^ " ")))
+    [
+      "table1/reexpression-properties";
+      "table2/detection-syscall-roundtrip";
+      "table3/webbench-simulation";
+      "figure1/address-partition-detection";
+      "figure2/monitored-request";
+      "x1/httpd-transformation";
+      "x2/uid-overflow-detection";
+      "x3/user-space-mode-roundtrip";
+    ]
+
 let test_fleetsim_smoke () =
   let status, output =
     run_capture
@@ -312,6 +379,8 @@ let () =
           Alcotest.test_case "figure2" `Quick test_bench_figure2;
           Alcotest.test_case "unknown report" `Quick test_bench_unknown_report;
           Alcotest.test_case "bench results json" `Quick test_bench_results_json;
+          Alcotest.test_case "hostperf" `Quick test_bench_hostperf;
+          Alcotest.test_case "micro" `Quick test_bench_micro;
         ] );
       ( "fleetsim",
         [

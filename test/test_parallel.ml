@@ -486,6 +486,84 @@ let test_signal_at_relaxed_call () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Doorbell handshake under a full event ring                          *)
+(* ------------------------------------------------------------------ *)
+
+(* 3000 back-to-back cond_chk calls (syscall 21), then exit(0). Each
+   variant streams its records far faster than the coordinator drains
+   them, so its 512-slot event ring fills and the variant parks on its
+   doorbell again and again: a wake-up lost anywhere in that handshake
+   hangs the run. *)
+let full_ring_calls = 3000
+
+let full_ring_image =
+  Nv_vm.Asm.assemble
+    (Printf.sprintf
+       {|
+      .text
+      mov r7, #0
+      mov r8, #%d
+    loop:
+      mov r0, #21
+      mov r1, #1
+      syscall
+      add r7, r7, #1
+      brlt r7, r8, loop
+      mov r0, #0
+      mov r1, #0
+      syscall
+    |}
+       full_ring_calls)
+
+(* The process's stderr as it was before Alcotest redirects each test's
+   output to a log file, so a watchdog's message reaches the console. *)
+let console = Unix.dup Unix.stderr
+
+(* Fail the whole test binary, rather than let the suite hang, when
+   [f] has not returned after [seconds]. *)
+let with_watchdog ~seconds ~what f =
+  let finished = Atomic.make false in
+  let dog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. seconds in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.05
+        done;
+        if not (Atomic.get finished) then begin
+          let message =
+            Printf.sprintf "%s: no progress after %.0f s (lost wake-up?)\n" what seconds
+          in
+          ignore (Unix.write_substring console message 0 (String.length message));
+          exit 2
+        end)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join dog)
+    f
+
+let test_full_ring_stress () =
+  let run ~parallel =
+    let sys =
+      Nsystem.of_one_image ~parallel ~variation:Variation.uid_diversity full_ring_image
+    in
+    let outcome = outcome_str (Nsystem.run sys) in
+    let stats = Monitor.stats (Nsystem.monitor sys) in
+    (outcome, stats.Monitor.st_relaxed_checks, stats.Monitor.st_rendezvous)
+  in
+  let expected = run ~parallel:false in
+  Alcotest.(check (triple string int int)) "sequential run"
+    ("exited 0", full_ring_calls, full_ring_calls + 1)
+    expected;
+  with_watchdog ~seconds:60. ~what:"full-ring stress" (fun () ->
+      for k = 1 to 100 do
+        Alcotest.(check (triple string int int))
+          (Printf.sprintf "parallel run %d" k)
+          expected (run ~parallel:true)
+      done)
+
+(* ------------------------------------------------------------------ *)
 (* The case-study server                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -630,91 +708,37 @@ let test_spsc_cross_domain () =
   Alcotest.(check (option int)) "stream fully consumed" None (Spsc.try_pop ring)
 
 (* ------------------------------------------------------------------ *)
-(* The pool itself                                                     *)
+(* Dompool.map_array                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_dompool_basics () =
-  let pool = Dompool.create ~size:2 in
-  let p = Dompool.submit pool (fun () -> 21 * 2) in
-  Alcotest.(check int) "await" 42 (Dompool.await p);
-  let doubled = Dompool.map_array pool (fun x -> 2 * x) (Array.init 100 Fun.id) in
+  let doubled = Dompool.map_array (fun x -> 2 * x) (Array.init 100 Fun.id) in
   Alcotest.(check int) "map_array len" 100 (Array.length doubled);
   Array.iteri (fun i v -> Alcotest.(check int) "map_array value" (2 * i) v) doubled;
-  Alcotest.(check int) "size" 2 (Dompool.size pool);
-  Alcotest.(check (array int)) "empty" [||] (Dompool.map_array pool (fun x -> x) [||]);
-  Dompool.shutdown pool;
-  Alcotest.(check bool) "submit after shutdown rejected" true
-    (try
-       ignore (Dompool.submit pool (fun () -> ()));
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check (array int)) "empty" [||] (Dompool.map_array (fun x -> x) [||])
 
 let test_dompool_exception_order () =
-  let pool = Dompool.create ~size:2 in
-  (* Every task fails; the lowest index must win, deterministically. *)
+  (* Every task from index 3 on fails; the lowest index must win,
+     deterministically. *)
   for _ = 1 to 20 do
     match
-      Dompool.map_array pool
+      Dompool.map_array
         (fun i -> if i >= 3 then failwith (string_of_int i) else i)
         (Array.init 8 Fun.id)
     with
     | _ -> Alcotest.fail "expected a failure"
     | exception Failure s -> Alcotest.(check string) "lowest index raised" "3" s
-  done;
-  Dompool.shutdown pool
+  done
 
 let test_dompool_nested () =
-  (* A task that itself maps on the same pool: the help-while-awaiting
-     discipline must prevent deadlock even with a single worker. *)
-  let pool = Dompool.create ~size:1 in
+  (* A task that itself maps: the inner call spawns and joins helpers
+     of its own. *)
   let result =
-    Dompool.map_array pool
-      (fun x ->
-        Array.fold_left ( + ) 0 (Dompool.map_array pool (fun y -> x * y) [| 1; 2; 3 |]))
+    Dompool.map_array
+      (fun x -> Array.fold_left ( + ) 0 (Dompool.map_array (fun y -> x * y) [| 1; 2; 3 |]))
       [| 10; 20; 30 |]
   in
-  Alcotest.(check (array int)) "nested sums" [| 60; 120; 180 |] result;
-  Dompool.shutdown pool
-
-let test_dompool_dropped_await () =
-  (* Regression: awaiting a task that shutdown drained from the queue
-     used to block forever. Recipe: a single worker is wedged in task
-     [a]; [b] sits queued; shutdown (from another domain) drains the
-     queue and drops [b] inside its stop critical section, so once
-     submit is observed to reject, [b]'s drop has happened and await
-     must raise rather than hang. *)
-  let pool = Dompool.create ~size:1 in
-  let started = Atomic.make false in
-  let gate = Atomic.make false in
-  let a =
-    Dompool.submit pool (fun () ->
-        Atomic.set started true;
-        while not (Atomic.get gate) do
-          Domain.cpu_relax ()
-        done)
-  in
-  while not (Atomic.get started) do
-    Domain.cpu_relax ()
-  done;
-  let b = Dompool.submit pool (fun () -> 42) in
-  (* shutdown blocks joining the wedged worker, so run it elsewhere. *)
-  let closer = Domain.spawn (fun () -> Dompool.shutdown pool) in
-  let rec wait_stopped () =
-    match Dompool.submit pool (fun () -> ()) with
-    | (_ : unit Dompool.promise) ->
-      Domain.cpu_relax ();
-      wait_stopped ()
-    | exception Invalid_argument _ -> ()
-  in
-  wait_stopped ();
-  Alcotest.check_raises "await of dropped task"
-    (Invalid_argument "Dompool.await: task dropped by shutdown") (fun () ->
-      ignore (Dompool.await b : int));
-  (* Unblock [a] so shutdown can join its worker; the in-flight task
-     itself completes normally. *)
-  Atomic.set gate true;
-  Dompool.await a;
-  Domain.join closer
+  Alcotest.(check (array int)) "nested sums" [| 60; 120; 180 |] result
 
 let test_env_default () =
   (* Not cached: the monitor's default follows the current env. *)
@@ -735,7 +759,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_dompool_basics;
           Alcotest.test_case "exception order" `Quick test_dompool_exception_order;
           Alcotest.test_case "nested" `Quick test_dompool_nested;
-          Alcotest.test_case "dropped by shutdown" `Quick test_dompool_dropped_await;
           Alcotest.test_case "env default" `Quick test_env_default;
         ] );
       ( "differential",
@@ -753,6 +776,7 @@ let () =
           Alcotest.test_case "rollback mid-relaxed-stretch" `Quick
             test_rollback_resets_relaxed_state;
           Alcotest.test_case "signal at a relaxed call" `Quick test_signal_at_relaxed_call;
+          Alcotest.test_case "full event ring" `Quick test_full_ring_stress;
           Alcotest.test_case "httpd serving" `Quick test_httpd_serving;
           Alcotest.test_case "supervisor recovery" `Quick
             test_supervisor_recovery_under_parallel;

@@ -764,6 +764,59 @@ let monitor_row ?(trace = false) ~engine ~requests () =
         done;
         Monitor.instructions_retired monitor - instr0
 
+(* The supervisor's per-accept checkpoint on the warm config4 server
+   (no supervisor, so nothing else snapshots it), parked at an accept.
+   A snapshot trial serves one request outside the clock, then times
+   the [Monitor.snapshot] that copies the pages it wrote; it returns
+   those pages, summed over the variants. A restore trial serves one
+   request from the warm state, then times the [Monitor.restore] that
+   rolls it back, so every trial starts from the same state. *)
+let checkpoint_rows () =
+  let parked () =
+    match
+      Deploy.build ~parallel:false ~engine:Nv_vm.Memory.Icache Deploy.Two_variant_uid
+    with
+    | Error e -> failwith e
+    | Ok sys ->
+      (match Nsystem.run sys with
+      | Monitor.Blocked_on_accept -> ()
+      | _ -> failwith "hostperf: server did not park at accept");
+      sys
+  in
+  let serve sys =
+    match Nsystem.serve sys (Nv_httpd.Http.get "/") with
+    | Nsystem.Served _ -> ()
+    | Nsystem.Stopped _ -> failwith "hostperf: checkpointed request failed"
+  in
+  let dirty_pages monitor =
+    List.init (Monitor.variant_count monitor) (fun i ->
+        Nv_vm.Memory.dirty_pages (Monitor.loaded monitor i).Nv_vm.Image.memory)
+    |> List.fold_left ( + ) 0
+  in
+  let snapshot_row =
+    let sys = parked () in
+    let monitor = Nsystem.monitor sys in
+    ignore (Monitor.snapshot monitor : Monitor.snapshot);
+    fun () ->
+      serve sys;
+      let dirty = dirty_pages monitor in
+      fun () ->
+        ignore (Monitor.snapshot monitor : Monitor.snapshot);
+        dirty
+  in
+  let restore_row =
+    let sys = parked () in
+    let monitor = Nsystem.monitor sys in
+    let warm = Monitor.snapshot monitor in
+    fun () ->
+      serve sys;
+      fun () ->
+        if Monitor.restore monitor warm <> 0 then
+          failwith "hostperf: restore at an accept park dropped a connection";
+        0
+  in
+  [ snapshot_row; restore_row ]
+
 (* Microbench for domain-parallel variant execution: an outer loop of
    cond_chk detection calls (syscall 21) separated by pure compute
    spins. cond_chk is a relaxed call, so under the pinned-domain engine
@@ -958,6 +1011,25 @@ let report_hostperf ?(path = "BENCH_results.json") () =
     "flight recorder disabled vs. baseline (same program, recorder off in both): %+.2f%% \
      best pair (noise bound: within 2%%)\n"
     (100.0 *. disabled_frac);
+  let snapshot_us, restore_us, dirty_per_request =
+    match measure ~warmup:2 ~trials:15 (checkpoint_rows ()) with
+    | [ snap; restore ] ->
+      let us = summarize (fun (_, seconds) -> seconds *. 1e6) in
+      (us snap, us restore, (summarize (fun (dirty, _) -> float_of_int dirty) snap).p50)
+    | _ -> assert false
+  in
+  let pages_per_segment = Variation.default_segment_size / Nv_vm.Memory.page_size in
+  let us_cell = spread (Printf.sprintf "%.1f") in
+  Nv_util.Tablefmt.print
+    ~header:[ "checkpoint (config4, parked)"; "snapshot us"; "restore us"; "dirty pages" ]
+    ~rows:
+      [
+        [
+          "one request between checkpoints"; us_cell snapshot_us; us_cell restore_us;
+          Printf.sprintf "%.0f of 2 x %d" dirty_per_request pages_per_segment;
+        ];
+      ]
+    ();
   let mode name instructions ref_mips fast_mips speedup =
     ( name,
       Json.Obj
@@ -1002,6 +1074,14 @@ let report_hostperf ?(path = "BENCH_results.json") () =
                    ("compiled_blocks", Json.Num (float_of_int block_compiled));
                    ("block_hits", Json.Num (float_of_int block_hits));
                    ("invalidations", Json.Num (float_of_int block_invalidations));
+                 ] );
+             ( "checkpoint",
+               Json.Obj
+                 [
+                   ("snapshot_us", Json.Num snapshot_us.p50);
+                   ("restore_us", Json.Num restore_us.p50);
+                   ("dirty_pages_per_request", Json.Num dirty_per_request);
+                   ("pages_per_segment", Json.Num (float_of_int pages_per_segment));
                  ] );
              ( "trace_overhead",
                Json.Obj

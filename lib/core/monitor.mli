@@ -223,10 +223,17 @@ val signal_pending : t -> bool
 type snapshot
 
 val snapshot : t -> snapshot
+(** Capture the system. Each variant's segment costs only the pages it
+    wrote since the last snapshot or restore (a served request writes a
+    handful of 4 KiB pages); the rest are shared with earlier snapshots
+    ({!Nv_vm.Memory.snapshot}). The kernel part is
+    {!Nv_os.Kernel.snapshot}. *)
 
 val restore : t -> snapshot -> int
 (** Roll every variant and the kernel back to [snap]; returns the
-    number of live connections dropped. Any pending signal is
+    number of live connections dropped. Each segment copies back only
+    the pages that differ from the snapshot, and only their cached
+    decodes and compiled blocks are invalidated. Any pending signal is
     discarded and the latency baseline re-anchored. A snapshot may be
     restored any number of times. *)
 

@@ -81,7 +81,7 @@ val run : t -> fuel:int -> outcome
 val block_stats : t -> int * int * int
 (** [(compiled, hits, invalidations)] for the block engine: blocks
     compiled, dispatches served from the cache, and registered blocks
-    invalidated by stores or rollbacks. All zero until the first
+    invalidated by stores or by rollbacks that rewrote their pages. All zero until the first
     block-engine {!run}. *)
 
 val pp_fault : Format.formatter -> fault -> unit

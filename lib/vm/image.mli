@@ -54,12 +54,15 @@ val abs_symbol : loaded -> string -> int
 
 type snapshot
 (** A checkpoint of one loaded variant: the CPU's architectural state
-    ({!Cpu.snapshot}) plus the full segment bytes
-    ({!Memory.snapshot}). The layout is immutable and not captured. *)
+    ({!Cpu.snapshot}) plus the segment's bytes ({!Memory.snapshot}).
+    The layout is immutable and not captured. *)
 
 val snapshot : loaded -> snapshot
+(** Costs the registers plus a copy of the segment pages written since
+    the variant's last snapshot or restore; unchanged pages are shared
+    with earlier snapshots. *)
 
 val restore : loaded -> snapshot -> unit
-(** Roll the variant back to the snapshot. The segment's
-    decoded-instruction cache is invalidated as part of the memory
-    restore. *)
+(** Roll the variant back to the snapshot. Only the pages that differ
+    from it are copied back, and only their cached decodes and compiled
+    blocks are invalidated (see {!Memory.restore}). *)

@@ -25,6 +25,13 @@ type t = {
   base : int;
   size : int;
   data : Bytes.t;
+  (* Copy-on-write checkpoint state. [pages.(p)] is the image of page [p]
+     as of the last {!snapshot} or {!restore}; images are never mutated
+     once captured, so snapshots share them freely. [dirty] holds one
+     byte per page, set by every store. The invariant: a page that is
+     not marked dirty holds exactly the bytes of its [pages] entry. *)
+  pages : Bytes.t array;
+  dirty : Bytes.t;
   mutable icache : icache_slot array option;  (* lazily created on first fetch *)
   mutable engine : engine;
   mutable blockreg : block_registry option;  (* lazily created on first compile *)
@@ -57,13 +64,29 @@ let default_engine () =
   | None -> Icache
   | Some s -> ( match engine_of_string s with Some e -> e | None -> Icache)
 
+(* Checkpoint granularity: a snapshot copies the pages stored into
+   since the previous snapshot or restore, in units of [page_size]. *)
+let page_shift = 12
+
+let page_size = 1 lsl page_shift
+
+let zero_page = Bytes.make page_size '\000'
+
 let create ~base ~size =
   if base < 0 || size < 0 || base + size > 0x1_0000_0000 then
     invalid_arg "Memory.create: segment outside the 32-bit address space";
+  let npages = (size + page_size - 1) lsr page_shift in
   {
     base;
     size;
     data = Bytes.make size '\000';
+    (* Every page starts as the shared zero page; a short last page gets
+       its own zeroed image of the right length. *)
+    pages =
+      Array.init npages (fun p ->
+          let len = min page_size (size - (p lsl page_shift)) in
+          if len = page_size then zero_page else Bytes.make len '\000');
+    dirty = Bytes.make npages '\000';
     icache = None;
     engine = default_engine ();
     blockreg = None;
@@ -185,7 +208,9 @@ let invalidate_blocks t lo hi =
         | _ -> ()
       done
 
-let invalidate_icache t off len =
+(* Drop the decoded state — icache slots and compiled blocks — over the
+   byte range [off, off+len). *)
+let invalidate_decoded t off len =
   let lo = off lsr instr_shift in
   let hi = (off + len - 1) lsr instr_shift in
   if lo <= t.wm_hi && hi >= t.wm_lo then begin
@@ -199,39 +224,54 @@ let invalidate_icache t off len =
     invalidate_blocks t lo hi
   end
 
+(* Every store path ends here. The dirty mark comes first: it must be set
+   even for stores outside the decoded watermark, and on every page a
+   straddling store touches. *)
+let invalidate_window t off len =
+  for p = off lsr page_shift to (off + len - 1) lsr page_shift do
+    Bytes.set t.dirty p '\001'
+  done;
+  invalidate_decoded t off len
+
 (* ------------------------------------------------------------------ *)
 (* Checkpointing                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type snapshot = Bytes.t
+type snapshot = { snap_size : int; snap_pages : Bytes.t array }
 
-let snapshot t = Bytes.copy t.data
+(* Dirty pages get fresh images (never the old ones, which earlier
+   snapshots may share); clean pages keep theirs. *)
+let snapshot t =
+  for p = 0 to Array.length t.pages - 1 do
+    if Bytes.unsafe_get t.dirty p <> '\000' then begin
+      t.pages.(p) <- Bytes.sub t.data (p lsl page_shift) (Bytes.length t.pages.(p));
+      Bytes.unsafe_set t.dirty p '\000'
+    end
+  done;
+  { snap_size = t.size; snap_pages = Array.copy t.pages }
 
+let dirty_pages t =
+  let n = ref 0 in
+  Bytes.iter (fun c -> if c <> '\000' then incr n) t.dirty;
+  !n
+
+(* By the invariant, a clean page whose image is physically the
+   snapshot's already holds the snapshot's bytes; every other page is
+   blitted, and only its decodes and compiled blocks are dropped. The
+   watermark is kept: it stays a superset of the decoded slots. *)
 let restore t snap =
-  if Bytes.length snap <> t.size then
+  if snap.snap_size <> t.size then
     invalid_arg "Memory.restore: snapshot is for a different segment size";
-  Bytes.blit snap 0 t.data 0 t.size;
-  (* The rolled-back bytes may differ anywhere in the segment, so every
-     cached decode and compiled block is suspect. Keep the allocated
-     slot array — recovery campaigns roll back constantly and
-     reallocating it each time churns the major heap — and bulk-reset
-     it instead. *)
-  (match t.icache with
-  | None -> ()
-  | Some cache -> Array.fill cache 0 (Array.length cache) Not_decoded);
-  t.wm_lo <- max_int;
-  t.wm_hi <- -1;
-  match t.blockreg with
-  | None -> ()
-  | Some reg ->
-    Array.iteri
-      (fun slot entry ->
-        match entry with
-        | None -> ()
-        | Some _ ->
-          unregister reg slot;
-          t.block_invalidations <- t.block_invalidations + 1)
-      reg.entries
+  for p = 0 to Array.length t.pages - 1 do
+    let img = snap.snap_pages.(p) in
+    if Bytes.unsafe_get t.dirty p <> '\000' || img != t.pages.(p) then begin
+      let off = p lsl page_shift in
+      Bytes.blit img 0 t.data off (Bytes.length img);
+      t.pages.(p) <- img;
+      Bytes.unsafe_set t.dirty p '\000';
+      invalidate_decoded t off (Bytes.length img)
+    end
+  done
 
 let load_byte t addr =
   check t addr Read;
@@ -241,7 +281,7 @@ let store_byte t addr b =
   check t addr Write;
   let off = addr - t.base in
   Bytes.set t.data off (Char.chr (b land 0xFF));
-  invalidate_icache t off 1
+  invalidate_window t off 1
 
 let exec_byte t addr =
   check t addr Execute;
@@ -256,7 +296,7 @@ let store_word t addr w =
   let off = addr - t.base in
   if off < 0 || off + 4 > t.size then fault_range t addr 4 Write;
   Bytes.set_int32_le t.data off (Int32.of_int w);
-  invalidate_icache t off 4
+  invalidate_window t off 4
 
 let load_bytes t ~addr ~len =
   if len < 0 then invalid_arg "Memory.load_bytes: negative length";
@@ -270,7 +310,7 @@ let store_bytes t ~addr data =
   if len > 0 then check t (addr + len - 1) Write;
   let off = addr - t.base in
   Bytes.blit data 0 t.data off len;
-  if len > 0 then invalidate_icache t off len
+  if len > 0 then invalidate_window t off len
 
 let load_cstring t ~addr ~max_len =
   if max_len <= 0 then ""
@@ -296,7 +336,7 @@ let store_cstring t ~addr s =
   if off < 0 || off + len > t.size then fault_range t addr len Write;
   Bytes.blit_string s 0 t.data off (String.length s);
   Bytes.set t.data (off + String.length s) '\000';
-  invalidate_icache t off len
+  invalidate_window t off len
 
 (* ------------------------------------------------------------------ *)
 (* Decoded fetch                                                       *)
@@ -348,5 +388,3 @@ let fetch_decoded t addr =
 (* ------------------------------------------------------------------ *)
 
 let bytes t = t.data
-
-let invalidate_window = invalidate_icache

@@ -31,21 +31,38 @@ val to_offset : t -> int -> int
     [Fault] if out of range. *)
 
 type snapshot
-(** A checkpoint of a segment's bytes (the base/size geometry is not
-    captured; a snapshot can only be restored into the segment it was
-    taken from, or one with the same size). *)
+(** A checkpoint of a segment's bytes, kept as one immutable image per
+    {!page_size} page (the base/size geometry is not captured; a
+    snapshot can only be restored into the segment it was taken from,
+    or one with the same size). Pages that did not change between two
+    snapshots are shared physically, so keeping many snapshots costs
+    memory only for the pages that differ. *)
+
+val page_size : int
+(** Checkpoint granularity in bytes (4 KiB). *)
 
 val snapshot : t -> snapshot
-(** Copy of the full segment contents. *)
+(** Capture the segment. Costs a copy of the pages written since the
+    last {!snapshot} or {!restore} of this segment (every store marks
+    the pages it touches), plus one pointer per page; every other page
+    shares the image already held. A snapshot is never modified
+    afterwards and may be restored any number of times. *)
+
+val dirty_pages : t -> int
+(** Pages written since the last {!snapshot} or {!restore}: what the
+    next snapshot will copy. *)
 
 val restore : t -> snapshot -> unit
-(** Overwrite the segment with the snapshot bytes and invalidate the
-    whole decoded-instruction cache and every registered compiled
-    block (the rollback may change code bytes, so every cached decode
-    is suspect). The slot array itself is kept and bulk-reset rather
-    than reallocated, so recovery-heavy campaigns do not churn the
-    major heap. Raises [Invalid_argument] on a segment-size
-    mismatch. *)
+(** Overwrite the segment with the snapshot bytes. Only pages that were
+    written since the last snapshot or restore, or whose image differs
+    from the snapshot's, are copied back; for exactly those pages the
+    cached decodes are dropped and every compiled block whose span
+    intersects them is invalidated (and counted in
+    {!block_invalidations}). Decodes and blocks over untouched pages
+    stay valid, since their bytes did not change. Restoring a snapshot
+    taken from another segment of the same size copies every page
+    whose image is not shared. Raises [Invalid_argument] on a
+    segment-size mismatch. *)
 
 val load_byte : t -> int -> int
 val store_byte : t -> int -> int -> unit
@@ -135,12 +152,14 @@ val register_block : t -> slot:int -> slots:int -> bool ref
 (** Register a block spanning [slots] instruction slots starting at
     entry slot [slot], replacing (and invalidating) any block
     previously registered at that entry. Returns the shared validity
-    cell: it stays [true] until a store intersects the span, the
-    segment is {!restore}d, or the entry is re-registered. *)
+    cell: it stays [true] until a store intersects the span, a
+    {!restore} rewrites a page it intersects, or the entry is
+    re-registered. *)
 
 val block_invalidations : t -> int
-(** How many registered blocks have been invalidated by stores or
-    rollbacks since the segment was created. *)
+(** How many registered blocks have been invalidated since the segment
+    was created: by stores into their span, and by {!restore}s that
+    rewrote a page their span intersects. *)
 
 (** {1 Raw access for the block compiler}
 
@@ -159,6 +178,7 @@ val bytes : t -> Bytes.t
 val invalidate_window : t -> int -> int -> unit
 (** [invalidate_window t off len] performs the store-side cache
     maintenance for a write of [len] bytes at segment offset [off]:
-    drops overlapped icache slots and invalidates intersecting
-    registered blocks. O(1) — two compares — for stores outside the
-    decoded region. *)
+    marks the touched pages dirty for the next {!snapshot}, drops
+    overlapped icache slots and invalidates intersecting registered
+    blocks. O(1) for stores outside the decoded region: a dirty mark
+    per touched page and two compares. *)

@@ -235,7 +235,8 @@ let test_bench_results_json () =
   Alcotest.(check bool) "fleet error budget" true (contains json "error_budget_used")
 
 (* hostperf's timings vary run to run, so this checks that every key the
-   CI gates read is a number and pins only the deterministic counts. *)
+   CI gates read, and every checkpoint figure, is a number and pins only
+   the deterministic counts. *)
 let test_bench_hostperf () =
   let module Json = Nv_util.Metrics.Json in
   let json_path = Filename.temp_file "nvcli" ".json" in
@@ -270,6 +271,8 @@ let test_bench_hostperf () =
           "baseline_mips"; "disabled_mips"; "enabled_over_disabled";
           "disabled_vs_monitor_frac";
         ] );
+      ( "checkpoint",
+        [ "snapshot_us"; "restore_us"; "dirty_pages_per_request"; "pages_per_segment" ] );
     ];
   List.iter
     (fun (row, key, expected) ->
@@ -282,6 +285,8 @@ let test_bench_hostperf () =
       ("block", "invalidations", 0.);
       ("parallel_2variant", "relaxed_checks", 40.);
       ("parallel_4variant", "relaxed_checks", 40.);
+      ("checkpoint", "pages_per_segment", 256.);
+      ("checkpoint", "dirty_pages_per_request", 8.);
     ]
 
 let test_bench_micro () =

@@ -17,6 +17,10 @@
    - qcheck properties pin the block registry's invalidation contract
      (a store intersecting a registered span flips its validity cell)
      and the sliced-run equivalence.
+   - Copy-on-write checkpoints: a model-based qcheck test of the page
+     snapshot store, a three-engine lockstep rollback past a code
+     patch, and pins that a restore rewriting only data pages keeps
+     the code's decodes and compiled blocks.
    - A pinned regression asserts the bench report's demand/monitor
      counters are byte-identical to the committed BENCH_results.json
      baseline. *)
@@ -329,6 +333,293 @@ let prop_engines_agree_under_slicing =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Copy-on-write checkpoints: model-based test of the snapshot store    *)
+(* ------------------------------------------------------------------ *)
+
+(* Three pages and a short fourth, so the partial last page image is
+   exercised too. Two segments of this size: a restore may take a
+   snapshot from the other one (a sibling restore). *)
+let cow_size = (3 * Memory.page_size) + 1000
+
+type cow_op =
+  | Store_byte of int * int * int  (* segment, offset, value *)
+  | Store_word of int * int * int
+  | Store_bytes of int * int * int * int  (* segment, offset, length, fill *)
+  | Store_cstring of int * int * int * int  (* segment, offset, length, fill *)
+  | Snapshot of int
+  | Restore of int * int  (* segment, kept-snapshot choice *)
+
+let show_cow_op = function
+  | Store_byte (s, o, v) -> Printf.sprintf "store_byte s%d %d %d" s o v
+  | Store_word (s, o, v) -> Printf.sprintf "store_word s%d %d %#x" s o v
+  | Store_bytes (s, o, n, f) -> Printf.sprintf "store_bytes s%d %d len=%d fill=%d" s o n f
+  | Store_cstring (s, o, n, f) ->
+    Printf.sprintf "store_cstring s%d %d len=%d fill=%d" s o n f
+  | Snapshot s -> Printf.sprintf "snapshot s%d" s
+  | Restore (s, k) -> Printf.sprintf "restore s%d kept#%d" s k
+
+let gen_cow_op =
+  let open QCheck.Gen in
+  let seg = int_bound 1 in
+  (* A word that straddles an interior page boundary by 1-3 bytes. *)
+  let straddle =
+    map2 (fun p k -> (p * Memory.page_size) - k) (int_range 1 3) (int_range 1 3)
+  in
+  let multi_page =
+    int_range 1 ((2 * Memory.page_size) + 100) >>= fun len ->
+    map (fun off -> (off, len)) (int_bound (cow_size - len))
+  in
+  frequency
+    [
+      ( 4,
+        map3
+          (fun s o v -> Store_byte (s, o, v))
+          seg
+          (int_bound (cow_size - 1))
+          (int_bound 255) );
+      ( 4,
+        map3
+          (fun s o v -> Store_word (s, o, v))
+          seg
+          (oneof [ int_bound (cow_size - 4); straddle ])
+          (int_bound 0xFFFF_FFFF) );
+      (2, map3 (fun s (o, n) f -> Store_bytes (s, o, n, f)) seg multi_page (int_bound 255));
+      (* A cstring of length n occupies n + 1 bytes with its NUL. *)
+      ( 2,
+        map3
+          (fun s (o, n) f -> Store_cstring (s, o, n - 1, f))
+          seg multi_page (int_bound 255) );
+      (2, map (fun s -> Snapshot s) seg);
+      (2, map2 (fun s k -> Restore (s, k)) seg (int_bound 1000));
+    ]
+
+let fill_bytes len fill = Bytes.init len (fun i -> Char.chr ((fill + (i * 7)) land 0xFF))
+
+(* Never NUL, so the stored string is exactly [len] bytes long. *)
+let fill_string len fill = String.init len (fun i -> Char.chr (1 + ((fill + i) mod 255)))
+
+(* Run [ops] on two segments and a plain-[Bytes] model of each; after
+   every step both segments must equal their models. Kept snapshots
+   carry a copy of the bytes they captured. At the end every kept
+   snapshot is restored, in turn, into both segments (with a store in
+   between, so each restore starts from a dirty page) and must give back
+   exactly those bytes. *)
+let run_cow_model ops =
+  let segs = Array.init 2 (fun _ -> Memory.create ~base ~size:cow_size) in
+  let models = Array.init 2 (fun _ -> Bytes.make cow_size '\000') in
+  let kept = ref [] in
+  let agrees s =
+    Bytes.equal (Memory.load_bytes segs.(s) ~addr:base ~len:cow_size) models.(s)
+  in
+  let restore s (snap, captured) =
+    Memory.restore segs.(s) snap;
+    Bytes.blit captured 0 models.(s) 0 cow_size
+  in
+  let apply = function
+    | Store_byte (s, o, v) ->
+      Memory.store_byte segs.(s) (base + o) v;
+      Bytes.set models.(s) o (Char.chr v)
+    | Store_word (s, o, v) ->
+      Memory.store_word segs.(s) (base + o) v;
+      Bytes.set_int32_le models.(s) o (Int32.of_int v)
+    | Store_bytes (s, o, n, f) ->
+      let data = fill_bytes n f in
+      Memory.store_bytes segs.(s) ~addr:(base + o) data;
+      Bytes.blit data 0 models.(s) o n
+    | Store_cstring (s, o, n, f) ->
+      let str = fill_string n f in
+      Memory.store_cstring segs.(s) ~addr:(base + o) str;
+      Bytes.blit_string str 0 models.(s) o n;
+      Bytes.set models.(s) (o + n) '\000'
+    | Snapshot s -> kept := (Memory.snapshot segs.(s), Bytes.copy models.(s)) :: !kept
+    | Restore (s, k) -> (
+      match !kept with
+      | [] -> ()
+      | l -> restore s (List.nth l (k mod List.length l)))
+  in
+  List.iteri
+    (fun step op ->
+      apply op;
+      if not (agrees 0 && agrees 1) then
+        QCheck.Test.fail_reportf "step %d (%s): segment differs from model" step
+          (show_cow_op op))
+    ops;
+  List.iteri
+    (fun i ((_, captured) as kept_snap) ->
+      for s = 0 to 1 do
+        Memory.store_byte segs.(s) (base + (i * 997 mod cow_size)) (i + 1);
+        restore s kept_snap;
+        if not (Bytes.equal (Memory.load_bytes segs.(s) ~addr:base ~len:cow_size) captured)
+        then QCheck.Test.fail_reportf "kept snapshot %d no longer restores into s%d" i s
+      done)
+    !kept;
+  true
+
+let prop_cow_snapshots_match_model =
+  QCheck.Test.make ~name:"snapshot store agrees with a plain-bytes model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_cow_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_cow_op))
+    run_cow_model
+
+(* ------------------------------------------------------------------ *)
+(* Rollback: engines agree, and restore invalidates only what changed  *)
+(* ------------------------------------------------------------------ *)
+
+(* After the checkpoint (the first syscall) the guest runs [target]
+   once, patches it to [mov r3, #42], runs the patched copy and halts
+   with r5 = 43. Rolled back to the checkpoint, the code page holds the
+   original instruction again, so the re-run must also start with
+   [mov r3, #1]; a decode or compiled block kept across the restore
+   would run the patch first and halt with r5 = 42. *)
+let rollback_source =
+  let patch = Isa.encode ~tag:0 (Isa.Mov (3, Isa.Imm 42)) in
+  Printf.sprintf
+    {|
+      la r1, target
+      mov r4, #42
+      mov r5, #0
+      syscall
+    target:
+      mov r3, #1
+      add r5, r5, r3
+      breq r3, r4, done
+      mov r2, #%d
+      st [r1], r2
+      mov r2, #%d
+      st [r1+4], r2
+      jmp target
+    done:
+      push r5
+      halt
+    |}
+    (le_word patch 0) (le_word patch 4)
+
+let run_to_checkpoint cpu =
+  match Cpu.run cpu ~fuel:100 with
+  | Cpu.Trapped Cpu.Syscall_trap -> ()
+  | outcome ->
+    Alcotest.failf "expected the checkpoint syscall, got %s" (outcome_to_string outcome)
+
+let test_rollback_engines_agree () =
+  let prng = Prng.create ~seed:7 in
+  let loaded = List.map (fun engine -> load_source ~engine rollback_source) all_engines in
+  let cpu l = l.Image.cpu in
+  let reference = cpu (List.hd loaded) in
+  List.iter (fun l -> run_to_checkpoint (cpu l)) loaded;
+  let snaps = List.map Image.snapshot loaded in
+  let check_all ~step =
+    List.iter (fun l -> check_lockstep_state ~seed:7 ~step (cpu l) reference) loaded
+  in
+  let halt = trap_to_string (Some Cpu.Halt_trap) in
+  let retired = ref [] in
+  for round = 0 to 2 do
+    (* Sliced fuel, so slices end inside blocks and around the patching
+       stores. *)
+    let rec go slice =
+      let fuel = 1 + Prng.int prng 5 in
+      let outcomes = List.map (fun l -> outcome_to_string (Cpu.run (cpu l) ~fuel)) loaded in
+      List.iter
+        (Alcotest.(check string)
+           (Printf.sprintf "round %d slice %d: outcome" round slice)
+           (List.hd outcomes))
+        outcomes;
+      check_all ~step:((round * 1000) + slice);
+      if List.hd outcomes <> halt then go (slice + 1)
+    in
+    go 0;
+    Alcotest.(check int) (Printf.sprintf "round %d: original, then patched" round) 43
+      (Cpu.reg reference 5);
+    retired := Cpu.instructions_retired reference :: !retired;
+    List.iter2 Image.restore loaded snaps;
+    check_all ~step:((round * 1000) + 999);
+    Alcotest.(check int) "r5 rolled back" 0 (Cpu.reg reference 5)
+  done;
+  List.iter
+    (Alcotest.(check int) "every re-run retires the same count" (List.hd !retired))
+    !retired
+
+(* After the checkpoint this guest stores only into its stack, at the
+   top of the segment: the code page is never written. *)
+let data_only_source =
+  {|
+      mov r5, #0
+      mov r7, #50
+      syscall
+    loop:
+      add r5, r5, #1
+      push r5
+      pop r6
+      brlt r5, r7, loop
+      halt
+    |}
+
+let run_to_halt cpu =
+  match Cpu.run cpu ~fuel:10_000 with
+  | Cpu.Trapped Cpu.Halt_trap -> ()
+  | outcome -> Alcotest.failf "expected halt, got %s" (outcome_to_string outcome)
+
+(* Load, run to the checkpoint, snapshot, run to halt (filling the
+   decode cache and the block cache), then [touch] the segment and roll
+   back. Returns the loaded image, the block invalidations counted
+   before the restore, and the address of [loop]. *)
+let rolled_back ~engine ~touch =
+  let loaded = load_source ~engine data_only_source in
+  let { Image.cpu; memory; _ } = loaded in
+  run_to_checkpoint cpu;
+  let snap = Image.snapshot loaded in
+  run_to_halt cpu;
+  touch loaded;
+  let before = Memory.block_invalidations memory in
+  Image.restore loaded snap;
+  (loaded, before, Image.abs_symbol loaded "loop")
+
+(* Whether the decode of [addr] survived: overwrite its bytes through
+   the raw block-compiler view without the store-path maintenance (a
+   deliberate breach of [Memory.bytes]' contract that makes a cached
+   decode observable). A cached slot still yields the old instruction;
+   a dropped one decodes the new bytes. *)
+let decode_cached memory addr =
+  let off = addr - Memory.base memory in
+  Bytes.blit (Isa.encode ~tag:0 (Isa.Mov (5, Isa.Imm 99))) 0 (Memory.bytes memory) off
+    Isa.instr_size;
+  match Memory.fetch_decoded memory addr with
+  | Ok (_, Isa.Mov (5, Isa.Imm 99)) -> false
+  | Ok _ -> true
+  | Error _ -> Alcotest.fail "probe decode failed"
+
+let no_touch _ = ()
+
+(* A host store onto the code page after the checkpoint: the restore
+   must rewrite that page. *)
+let touch_code { Image.memory; layout; _ } =
+  let halt = Isa.encode ~tag:0 Isa.Halt in
+  Memory.store_bytes memory ~addr:(layout.Image.code_start + 0x800) halt
+
+let test_restore_keeps_code_decodes () =
+  let loaded, _, loop = rolled_back ~engine:Memory.Icache ~touch:no_touch in
+  Alcotest.(check bool) "code decodes kept over a data-only restore" true
+    (decode_cached loaded.Image.memory loop);
+  let loaded, _, loop = rolled_back ~engine:Memory.Icache ~touch:touch_code in
+  Alcotest.(check bool) "code decodes dropped when the code page is restored" false
+    (decode_cached loaded.Image.memory loop)
+
+let test_restore_keeps_code_blocks () =
+  let loaded, before, _ = rolled_back ~engine:Memory.Block ~touch:no_touch in
+  let { Image.cpu; memory; _ } = loaded in
+  let compiled, hits, _ = Cpu.block_stats cpu in
+  Alcotest.(check bool) "blocks were compiled" true (compiled > 0);
+  Alcotest.(check int) "data-only restore invalidates no block" before
+    (Memory.block_invalidations memory);
+  run_to_halt cpu;
+  let compiled', hits', _ = Cpu.block_stats cpu in
+  Alcotest.(check int) "re-run compiles nothing new" compiled compiled';
+  Alcotest.(check bool) "re-run dispatches cached blocks" true (hits' > hits);
+  let loaded, before, _ = rolled_back ~engine:Memory.Block ~touch:touch_code in
+  Alcotest.(check bool) "code-page restore invalidates its blocks" true
+    (Memory.block_invalidations loaded.Image.memory > before)
+
+(* ------------------------------------------------------------------ *)
 (* Pinned bench counters                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -392,6 +683,16 @@ let () =
             test_smc_injected_wrong_tag_faults;
           Alcotest.test_case "host store invalidates decode cache" `Quick
             test_smc_host_store_invalidates;
+        ] );
+      ( "checkpoints",
+        [
+          QCheck_alcotest.to_alcotest prop_cow_snapshots_match_model;
+          Alcotest.test_case "rollback past a code patch, three engines" `Quick
+            test_rollback_engines_agree;
+          Alcotest.test_case "data-only restore keeps code decodes" `Quick
+            test_restore_keeps_code_decodes;
+          Alcotest.test_case "data-only restore keeps compiled blocks" `Quick
+            test_restore_keeps_code_blocks;
         ] );
       ( "pinned bench counters",
         [

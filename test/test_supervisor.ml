@@ -183,6 +183,50 @@ let test_attack_recovery_integration () =
       record "checkpoints" (string_of_int (Supervisor.checkpoints sup));
       Buffer.contents b)
 
+(* Checkpoints copy only the pages marked dirty since the last one. In
+   parallel mode those marks are set on the variants' own domains and
+   read by the coordinator's snapshot after the round's join; a lost
+   mark would leave a stale page in the checkpoint, and the next
+   rollback would restore it. Two attacks force two rollbacks, the
+   second to a checkpoint taken after benign requests served in the
+   chosen mode: after every step, and at the end byte for byte, both
+   variant segments must equal the sequential run's. *)
+let test_parallel_checkpoint_pages () =
+  let drive sys =
+    let b = Buffer.create 4096 in
+    let sup = supervisor_of sys in
+    let step tag request =
+      let served = serve_str (Nsystem.serve sys request) in
+      Buffer.add_string b
+        (Printf.sprintf "%s=%s recoveries=%d\n%s" tag served (Supervisor.recoveries sup)
+           (variant_state sys))
+    in
+    step "attack1" attack_request;
+    for i = 1 to 3 do
+      step (Printf.sprintf "benign%d" i) benign
+    done;
+    step "attack2" attack_request;
+    step "benign4" benign;
+    Alcotest.(check int) "two recoveries" 2 (Supervisor.recoveries sup);
+    Buffer.contents b
+  in
+  let segments sys =
+    let monitor = Nsystem.monitor sys in
+    List.init (Monitor.variant_count monitor) (fun i ->
+        let memory = (Monitor.loaded monitor i).Image.memory in
+        Memory.load_bytes memory ~addr:(Memory.base memory) ~len:(Memory.size memory))
+  in
+  let build ~parallel = build_deploy ~recover:Supervisor.default_config ~parallel () in
+  let seq_sys = build ~parallel:false and par_sys = build ~parallel:true in
+  Alcotest.(check bool) "parallel mode" true (Monitor.parallel (Nsystem.monitor par_sys));
+  Alcotest.(check string) "outcomes, recoveries and state per step" (drive seq_sys)
+    (drive par_sys);
+  List.iteri
+    (fun i (seq, par) ->
+      Alcotest.(check bool) (Printf.sprintf "variant %d segment byte-identical" i) true
+        (Bytes.equal seq par))
+    (List.combine (segments seq_sys) (segments par_sys))
+
 let test_budget_exhaustion () =
   assert_equivalent ~what:"budget exhaustion"
     ~build:(fun ~parallel ->
@@ -459,6 +503,8 @@ let () =
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "attack recovery (pinned)" `Quick
             test_attack_recovery_integration;
+          Alcotest.test_case "checkpoint pages across domains" `Quick
+            test_parallel_checkpoint_pages;
           Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
           Alcotest.test_case "window purges budget" `Quick test_window_purges_budget;
           Alcotest.test_case "zero budget is fail-stop" `Quick test_zero_budget_is_failstop;

@@ -98,7 +98,9 @@ let engine_arg =
            $(b,icache) or $(b,block). The fleet report derives from \
            engine-independent instruction counts, so this only changes \
            profiling wall-clock time. Defaults to $(b,NV_ENGINE), falling \
-           back to $(b,icache).")
+           back to $(b,block). Decode state is kept per 4 KiB page of executed \
+           code: about 40 KiB a page under $(b,icache), about 80 KiB under \
+           $(b,block), none under $(b,reference).")
 
 let metrics_arg =
   Arg.(

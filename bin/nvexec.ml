@@ -107,7 +107,10 @@ let engine_arg =
            observationally identical — same outcomes, alarms and instruction \
            counts — so pinning a tier is for differential debugging and \
            performance comparison. Defaults to the $(b,NV_ENGINE) environment \
-           variable, falling back to $(b,icache).")
+           variable, falling back to $(b,block). Decode state is kept per 4 KiB \
+           page of executed code: about 40 KiB a page under $(b,icache), about \
+           80 KiB with $(b,block)'s compiled closures, none under \
+           $(b,reference).")
 
 let recover_arg =
   Arg.(

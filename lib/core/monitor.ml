@@ -131,7 +131,8 @@ let create ?metrics ?parallel ?engine
             ~tag:spec.Variation.tag
         in
         (* Every variant runs the same execution tier; unset, segments
-           keep their creation default (NV_ENGINE or the icache). *)
+           keep their creation default (NV_ENGINE or the block
+           compiler). *)
         Option.iter (Memory.set_engine loaded.Image.memory) engine;
         loaded)
       images

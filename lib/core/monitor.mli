@@ -58,7 +58,8 @@ val create :
 
     [engine] pins every variant segment's execution tier
     ({!Nv_vm.Memory.engine}); when omitted, segments keep their
-    creation default ([NV_ENGINE] or the icache). *)
+    creation default ([NV_ENGINE] or the block compiler, see
+    {!Nv_vm.Memory.default_engine}). *)
 
 val kernel : t -> Nv_os.Kernel.t
 

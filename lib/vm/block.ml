@@ -54,7 +54,10 @@ type cache = {
   mem : Memory.t;
   regs : int array;
   expected_tag : int;
-  table : compiled option array;  (* keyed by block-entry slot *)
+  (* Keyed by page, then by block-entry slot within the page; a page's
+     table is created by its first compile. An entry is stored as the
+     option [find] returns, so a dispatch allocates nothing. *)
+  table : compiled option array option array;
   scratch : status;
   mutable compiled_blocks : int;
   mutable hits : int;
@@ -66,13 +69,18 @@ type cache = {
   mutable last : compiled option;
 }
 
+(* Slot [s] is entry [s land page_slot_mask] of page [s lsr page_slot_shift]. *)
+let page_slot_shift = Memory.page_shift - 3
+
+let page_slot_mask = (1 lsl page_slot_shift) - 1
+
 let create mem regs ~expected_tag =
-  let slots = (Memory.size mem + Isa.instr_size - 1) / Isa.instr_size in
+  let pages = (Memory.size mem + Memory.page_size - 1) / Memory.page_size in
   {
     mem;
     regs;
     expected_tag;
-    table = Array.make slots None;
+    table = Array.make pages None;
     scratch =
       { st_pc = 0; st_retired = 0; st_trap = None; st_k = 0; st_base = 0; st_budget = 0 };
     compiled_blocks = 0;
@@ -488,10 +496,27 @@ let discover mem ~entry_off =
   in
   go [] 0 0
 
+(* The table of [slot]'s page, ready for a new entry. When the segment
+   holds no decode state for the page, every block this table has for
+   it was invalidated by the restore that dropped that state, so the
+   old table is dropped too. Call before the compile registers (and so
+   re-creates) the page's state. *)
+let page_table c ~slot =
+  let p = slot lsr page_slot_shift in
+  match c.table.(p) with
+  | Some page when Memory.page_decoded c.mem p -> page
+  | _ ->
+    let page = Array.make (page_slot_mask + 1) None in
+    c.table.(p) <- Some page;
+    page
+
 let uncompilable valid =
   { c_tag = -1; c_len = 0; c_valid = valid; c_exec = (fun _ -> assert false) }
 
+(* Compile the block at [slot] and store it; returns the stored option. *)
 let compile c ~slot =
+  let page = page_table c ~slot in
+  let i = slot land page_slot_mask in
   let entry_off = slot * Isa.instr_size in
   let entry_addr = Memory.base c.mem + entry_off in
   match discover c.mem ~entry_off with
@@ -499,9 +524,9 @@ let compile c ~slot =
     (* Nothing decodes at the entry; register a one-slot span anyway so
        a store that rewrites these bytes forces a recompile. *)
     let valid = Memory.register_block c.mem ~slot ~slots:1 in
-    let cb = uncompilable valid in
-    c.table.(slot) <- Some cb;
-    cb
+    let r = Some (uncompilable valid) in
+    page.(i) <- r;
+    r
   | (c_tag, _) :: _ as instrs ->
     let len = List.length instrs in
     let valid = Memory.register_block c.mem ~slot ~slots:len in
@@ -556,14 +581,19 @@ let compile c ~slot =
         st.st_retired <- st.st_base + st.st_k + 1;
         st.st_pc <- entry_addr + ((st.st_k + 1) * Isa.instr_size)
     in
-    let cb = { c_tag; c_len = len; c_valid = valid; c_exec = exec } in
-    c.table.(slot) <- Some cb;
+    let r = Some { c_tag; c_len = len; c_valid = valid; c_exec = exec } in
+    page.(i) <- r;
     c.compiled_blocks <- c.compiled_blocks + 1;
-    cb
+    r
 
 let length cb = cb.c_len
 
 let exec cb st = cb.c_exec st
+
+(* A compilable entry whose hoisted tag is the CPU's and which fits the
+   fuel left. *)
+let dispatchable c cb ~remaining =
+  cb.c_len > 0 && cb.c_tag = c.expected_tag && cb.c_len <= remaining
 
 (* Dispatch: return a block runnable from [pc] within [remaining] fuel,
    compiling on a miss. [None] sends the caller to the stepping
@@ -588,17 +618,25 @@ let find c ~pc ~remaining =
     then None
     else begin
       let slot = off lsr 3 in
-      let cached, cb =
-        match Array.unsafe_get c.table slot with
-        | Some cb when !(cb.c_valid) -> (true, cb)
-        | _ -> (false, compile c ~slot)
+      let cached =
+        match Array.unsafe_get c.table (slot lsr page_slot_shift) with
+        | Some page -> Array.unsafe_get page (slot land page_slot_mask)
+        | None -> None
       in
-      if cb.c_len = 0 || cb.c_tag <> c.expected_tag || cb.c_len > remaining then None
-      else begin
-        if cached then c.hits <- c.hits + 1;
-        let r = Some cb in
-        c.last_pc <- pc;
-        c.last <- r;
-        r
-      end
+      match cached with
+      | Some cb as r when !(cb.c_valid) ->
+        if dispatchable c cb ~remaining then begin
+          c.hits <- c.hits + 1;
+          c.last_pc <- pc;
+          c.last <- r;
+          r
+        end
+        else None
+      | _ -> (
+        match compile c ~slot with
+        | Some cb as r when dispatchable c cb ~remaining ->
+          c.last_pc <- pc;
+          c.last <- r;
+          r
+        | _ -> None)
     end

@@ -6,8 +6,9 @@
     instructions) and compiled into closures with register and operand
     accesses specialized per instruction and the per-instruction tag
     check hoisted to one per-block tag comparison at dispatch.
-    Compiled blocks are cached per segment, keyed by block-entry slot,
-    and registered with the segment's block registry
+    Compiled blocks are cached per CPU in one table per
+    {!Memory.page_size} page of the segment (created by the page's first
+    compile), keyed by block-entry slot, and registered with the segment's block registry
     ({!Memory.register_block}) so that any store into a block's byte
     range — self-modifying code, injected shellcode, a supervisor
     rollback — invalidates it before the next dispatch (or, for a

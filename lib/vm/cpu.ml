@@ -170,14 +170,13 @@ let step t =
       | result -> result
     end
 
-let run_stepping t ~fuel =
-  let rec loop remaining =
-    if remaining <= 0 then Out_of_fuel
-    else begin
-      match step t with None -> loop (remaining - 1) | Some trap -> Trapped trap
-    end
-  in
-  loop fuel
+(* The run loops are top-level functions, not local closures over [t],
+   so a [run] call allocates nothing. *)
+let rec run_stepping t remaining =
+  if remaining <= 0 then Out_of_fuel
+  else begin
+    match step t with None -> run_stepping t (remaining - 1) | Some trap -> Trapped trap
+  end
 
 let block_cache t =
   match t.blocks with
@@ -194,31 +193,30 @@ let block_cache t =
    raises the precise fault — or a block longer than the fuel left, so
    a sliced [run ~fuel] retires exactly [fuel] instructions before
    reporting [Out_of_fuel]). *)
-let run_blocks t ~fuel =
-  let cache = block_cache t in
-  let st = Block.scratch cache in
-  let rec loop remaining =
-    if remaining <= 0 then Out_of_fuel
-    else begin
-      match Block.find cache ~pc:t.pc ~remaining with
-      | None -> (
-        match step t with None -> loop (remaining - 1) | Some trap -> Trapped trap)
-      | Some cb ->
-        st.Block.st_budget <- remaining;
-        Block.exec cb st;
-        t.retired <- t.retired + st.Block.st_retired;
-        t.pc <- st.Block.st_pc;
-        (match st.Block.st_trap with
-        | None -> loop (remaining - st.Block.st_retired)
-        | Some trap -> Trapped trap)
-    end
-  in
-  loop fuel
+let rec run_blocks t cache st remaining =
+  if remaining <= 0 then Out_of_fuel
+  else begin
+    match Block.find cache ~pc:t.pc ~remaining with
+    | None -> (
+      match step t with
+      | None -> run_blocks t cache st (remaining - 1)
+      | Some trap -> Trapped trap)
+    | Some cb ->
+      st.Block.st_budget <- remaining;
+      Block.exec cb st;
+      t.retired <- t.retired + st.Block.st_retired;
+      t.pc <- st.Block.st_pc;
+      (match st.Block.st_trap with
+      | None -> run_blocks t cache st (remaining - st.Block.st_retired)
+      | Some trap -> Trapped trap)
+  end
 
 let run t ~fuel =
   match Memory.engine t.memory with
-  | Memory.Block -> run_blocks t ~fuel
-  | Memory.Reference | Memory.Icache -> run_stepping t ~fuel
+  | Memory.Block ->
+    let cache = block_cache t in
+    run_blocks t cache (Block.scratch cache) fuel
+  | Memory.Reference | Memory.Icache -> run_stepping t fuel
 
 let block_stats t =
   match t.blocks with

@@ -16,7 +16,11 @@ type engine = Reference | Icache | Block
    store that hit it. *)
 type block_entry = { be_end : int; be_valid : bool ref }
 
-type block_registry = {
+(* The decoded state of one page, indexed by slot within the page. A
+   block whose span crosses into the next page counts in that page's
+   [cover] too, so the page holds a chunk as well. *)
+type chunk = {
+  slots : icache_slot array;
   entries : block_entry option array;  (* keyed by block-entry slot *)
   cover : int array;  (* per slot: how many live blocks span it *)
 }
@@ -32,17 +36,15 @@ type t = {
      not marked dirty holds exactly the bytes of its [pages] entry. *)
   pages : Bytes.t array;
   dirty : Bytes.t;
-  mutable icache : icache_slot array option;  (* lazily created on first fetch *)
+  (* Decoded state per page, created on the first decode or block
+     registration in the page and dropped when a {!restore} rewrites
+     it. Decoded slots and registered blocks exist only in pages that
+     hold a chunk, so a store into any other page (stack and heap
+     traffic, the overwhelmingly common case) skips all invalidation
+     after one load. *)
+  chunks : chunk option array;
   mutable engine : engine;
-  mutable blockreg : block_registry option;  (* lazily created on first compile *)
   mutable block_invalidations : int;
-  (* Watermark of slots ever filled into the icache (empty when
-     [wm_hi < wm_lo]). Decoded state — cached slots and registered
-     blocks — only ever exists inside it, so a store outside the
-     watermark (stack and heap traffic, the overwhelmingly common
-     case) skips all invalidation with two compares. *)
-  mutable wm_lo : int;
-  mutable wm_hi : int;
 }
 
 let engine_of_string = function
@@ -57,15 +59,20 @@ let engine_to_string = function
   | Block -> "block"
 
 (* NV_ENGINE pins the execution tier for a whole process (the CI matrix
-   runs the full test tree under NV_ENGINE=block); unset or unknown
-   values fall back to the predecoded icache, the pre-block default. *)
+   runs the full test tree under NV_ENGINE=icache); unset or unknown
+   values fall back to the block compiler. A page of executed code
+   costs a chunk here (three 512-slot arrays, 12 KiB, plus the decoded
+   instructions: about 40 KiB on the httpd server) and, under Block, a
+   512-slot table and the compiled closures in [Block.cache]: about
+   80 KiB a page in all. *)
 let default_engine () =
   match Sys.getenv_opt "NV_ENGINE" with
-  | None -> Icache
-  | Some s -> ( match engine_of_string s with Some e -> e | None -> Icache)
+  | None -> Block
+  | Some s -> ( match engine_of_string s with Some e -> e | None -> Block)
 
-(* Checkpoint granularity: a snapshot copies the pages stored into
-   since the previous snapshot or restore, in units of [page_size]. *)
+(* Checkpoint and decode-state granularity: a snapshot copies the pages
+   stored into since the previous snapshot or restore, in units of
+   [page_size]. *)
 let page_shift = 12
 
 let page_size = 1 lsl page_shift
@@ -87,12 +94,9 @@ let create ~base ~size =
           let len = min page_size (size - (p lsl page_shift)) in
           if len = page_size then zero_page else Bytes.make len '\000');
     dirty = Bytes.make npages '\000';
-    icache = None;
+    chunks = Array.make npages None;
     engine = default_engine ();
-    blockreg = None;
     block_invalidations = 0;
-    wm_lo = max_int;
-    wm_hi = -1;
   }
 
 let base t = t.base
@@ -134,6 +138,34 @@ let () = assert (Isa.instr_size = 1 lsl instr_shift)
 
 let slot_count t = (t.size + Isa.instr_size - 1) lsr instr_shift
 
+(* Slot [s] lives in page [s lsr page_slot_shift], at index
+   [s land page_slot_mask] of that page's chunk. Instructions are
+   aligned, so none straddles a page. *)
+let page_slot_shift = page_shift - instr_shift
+
+let page_slots = 1 lsl page_slot_shift
+
+let page_slot_mask = page_slots - 1
+
+let chunk t p =
+  match t.chunks.(p) with
+  | Some c -> c
+  | None ->
+    let c =
+      {
+        slots = Array.make page_slots Not_decoded;
+        entries = Array.make page_slots None;
+        cover = Array.make page_slots 0;
+      }
+    in
+    t.chunks.(p) <- Some c;
+    c
+
+let decoded_pages t =
+  Array.fold_left (fun n c -> if Option.is_some c then n + 1 else n) 0 t.chunks
+
+let page_decoded t p = Option.is_some t.chunks.(p)
+
 (* ------------------------------------------------------------------ *)
 (* Compiled-block registry                                             *)
 (* ------------------------------------------------------------------ *)
@@ -141,97 +173,88 @@ let slot_count t = (t.size + Isa.instr_size - 1) lsr instr_shift
 (* Upper bound on a compiled block's slot span. The store path only has
    to back-scan this many entry slots to find a block that covers the
    stored-into slot, so the bound keeps invalidation O(cap) in the worst
-   case and O(1) on the common data-store path (cover count is zero). *)
+   case and O(1) on the common data-store path (cover count is zero). It
+   is below [page_slots], so a span reaches at most one page further. *)
 let max_block_slots = 64
+
+let () = assert (max_block_slots < page_slots)
 
 let block_invalidations t = t.block_invalidations
 
-let blockreg t =
-  match t.blockreg with
-  | Some reg -> reg
-  | None ->
-    let n = slot_count t in
-    let reg = { entries = Array.make n None; cover = Array.make n 0 } in
-    t.blockreg <- Some reg;
-    reg
+(* Add [delta] to the cover count of every slot in [lo, hi), creating
+   the chunks of the pages the span reaches. *)
+let add_cover t lo hi delta =
+  for s = lo to hi - 1 do
+    let c = chunk t (s lsr page_slot_shift) in
+    let i = s land page_slot_mask in
+    c.cover.(i) <- c.cover.(i) + delta
+  done
 
-let unregister reg slot =
-  match reg.entries.(slot) with
+let unregister t slot =
+  match t.chunks.(slot lsr page_slot_shift) with
   | None -> ()
-  | Some { be_end; be_valid } ->
-    be_valid := false;
-    for s = slot to be_end - 1 do
-      reg.cover.(s) <- reg.cover.(s) - 1
-    done;
-    reg.entries.(slot) <- None
+  | Some c -> (
+    let i = slot land page_slot_mask in
+    match c.entries.(i) with
+    | None -> ()
+    | Some { be_end; be_valid } ->
+      be_valid := false;
+      c.entries.(i) <- None;
+      add_cover t slot be_end (-1))
 
 let register_block t ~slot ~slots =
   if slots < 1 || slots > max_block_slots then
     invalid_arg "Memory.register_block: span out of range";
-  let reg = blockreg t in
-  if slot < 0 || slot + slots > Array.length reg.cover then
+  if slot < 0 || slot + slots > slot_count t then
     invalid_arg "Memory.register_block: slot out of range";
-  unregister reg slot;
+  unregister t slot;
   let be_valid = ref true in
-  reg.entries.(slot) <- Some { be_end = slot + slots; be_valid };
-  for s = slot to slot + slots - 1 do
-    reg.cover.(s) <- reg.cover.(s) + 1
-  done;
-  (* The store path only looks at slots inside the decoded watermark;
-     grow it so the invariant holds even for spans registered without a
-     prior decode. *)
-  if slot < t.wm_lo then t.wm_lo <- slot;
-  if slot + slots - 1 > t.wm_hi then t.wm_hi <- slot + slots - 1;
+  (chunk t (slot lsr page_slot_shift)).entries.(slot land page_slot_mask) <-
+    Some { be_end = slot + slots; be_valid };
+  add_cover t slot (slot + slots) 1;
   be_valid
 
 (* Invalidate every registered block whose span intersects slots
-   [lo, hi]. The cover counts make the no-block case (every store into
-   plain data) a handful of array loads; only when a store actually
-   lands under a compiled block do we back-scan the bounded window of
-   entry slots that could span it. *)
-let invalidate_blocks t lo hi =
-  match t.blockreg with
-  | None -> ()
-  | Some reg ->
-    let last = Array.length reg.cover - 1 in
-    let hi = min hi last in
-    let covered = ref false in
-    for s = lo to hi do
-      if reg.cover.(s) > 0 then covered := true
-    done;
-    if !covered then
-      for e = max 0 (lo - max_block_slots + 1) to hi do
-        match reg.entries.(e) with
-        | Some { be_end; _ } when be_end > lo ->
-          unregister reg e;
-          t.block_invalidations <- t.block_invalidations + 1
-        | _ -> ()
-      done
-
-(* Drop the decoded state — icache slots and compiled blocks — over the
-   byte range [off, off+len). *)
-let invalidate_decoded t off len =
-  let lo = off lsr instr_shift in
-  let hi = (off + len - 1) lsr instr_shift in
-  if lo <= t.wm_hi && hi >= t.wm_lo then begin
-    (match t.icache with
-    | None -> ()
-    | Some cache ->
-      let hi = min hi (Array.length cache - 1) in
-      for i = lo to hi do
-        cache.(i) <- Not_decoded
-      done);
-    invalidate_blocks t lo hi
-  end
-
-(* Every store path ends here. The dirty mark comes first: it must be set
-   even for stores outside the decoded watermark, and on every page a
-   straddling store touches. *)
-let invalidate_window t off len =
-  for p = off lsr page_shift to (off + len - 1) lsr page_shift do
-    Bytes.set t.dirty p '\001'
+   [lo, hi], all inside the page whose chunk is [c]. The cover counts
+   make the no-block case (every store into plain data) a handful of
+   array loads; only when a store actually lands under a compiled block
+   do we back-scan the bounded window of entry slots that could span
+   it, which may start in the previous page. *)
+let invalidate_blocks t c lo hi =
+  let covered = ref false in
+  for s = lo to hi do
+    if c.cover.(s land page_slot_mask) > 0 then covered := true
   done;
-  invalidate_decoded t off len
+  if !covered then
+    for e = max 0 (lo - max_block_slots + 1) to hi do
+      match t.chunks.(e lsr page_slot_shift) with
+      | None -> ()
+      | Some ce -> (
+        match ce.entries.(e land page_slot_mask) with
+        | Some { be_end; _ } when be_end > lo ->
+          unregister t e;
+          t.block_invalidations <- t.block_invalidations + 1
+        | _ -> ())
+    done
+
+(* Every store path ends here. The dirty mark is set on every page the
+   store touches; decoded state is dropped only in the pages that hold
+   a chunk, over the slots the store overlaps. *)
+let invalidate_window t off len =
+  let last = off + len - 1 in
+  for p = off lsr page_shift to last lsr page_shift do
+    Bytes.set t.dirty p '\001';
+    match t.chunks.(p) with
+    | None -> ()
+    | Some c ->
+      let first_slot = p lsl page_slot_shift in
+      let lo = max (off lsr instr_shift) first_slot in
+      let hi = min (last lsr instr_shift) (first_slot + page_slot_mask) in
+      for s = lo to hi do
+        c.slots.(s land page_slot_mask) <- Not_decoded
+      done;
+      invalidate_blocks t c lo hi
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing                                                       *)
@@ -255,21 +278,31 @@ let dirty_pages t =
   Bytes.iter (fun c -> if c <> '\000' then incr n) t.dirty;
   !n
 
+(* Drop page [p]'s decoded state outright. Its blocks are unregistered
+   first, together with any block that straddles into it from the
+   previous page, so no cover count outside the page refers to it and
+   every compiled closure over it sees its validity cell flip. *)
+let drop_page t p =
+  match t.chunks.(p) with
+  | None -> ()
+  | Some c ->
+    let first_slot = p lsl page_slot_shift in
+    invalidate_blocks t c first_slot (first_slot + page_slot_mask);
+    t.chunks.(p) <- None
+
 (* By the invariant, a clean page whose image is physically the
    snapshot's already holds the snapshot's bytes; every other page is
-   blitted, and only its decodes and compiled blocks are dropped. The
-   watermark is kept: it stays a superset of the decoded slots. *)
+   blitted, and only its decoded state is dropped. *)
 let restore t snap =
   if snap.snap_size <> t.size then
     invalid_arg "Memory.restore: snapshot is for a different segment size";
   for p = 0 to Array.length t.pages - 1 do
     let img = snap.snap_pages.(p) in
     if Bytes.unsafe_get t.dirty p <> '\000' || img != t.pages.(p) then begin
-      let off = p lsl page_shift in
-      Bytes.blit img 0 t.data off (Bytes.length img);
+      Bytes.blit img 0 t.data (p lsl page_shift) (Bytes.length img);
       t.pages.(p) <- img;
       Bytes.unsafe_set t.dirty p '\000';
-      invalidate_decoded t off (Bytes.length img)
+      drop_page t p
     end
   done
 
@@ -364,22 +397,13 @@ let fetch_decoded t addr =
        unaligned fetch that would alias a cache slot: decode fresh. *)
     fetch_reference t addr
   else begin
-    let cache =
-      match t.icache with
-      | Some c -> c
-      | None ->
-        let c = Array.make (slot_count t) Not_decoded in
-        t.icache <- Some c;
-        c
-    in
-    let idx = off lsr instr_shift in
-    match cache.(idx) with
+    let c = chunk t (off lsr page_shift) in
+    let i = (off lsr instr_shift) land page_slot_mask in
+    match c.slots.(i) with
     | Cached r -> r
     | Not_decoded ->
       let r = Isa.decode_at t.data ~pos:off in
-      cache.(idx) <- Cached r;
-      if idx < t.wm_lo then t.wm_lo <- idx;
-      if idx > t.wm_hi then t.wm_hi <- idx;
+      c.slots.(i) <- Cached r;
       r
   end
 

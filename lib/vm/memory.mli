@@ -39,7 +39,10 @@ type snapshot
     memory only for the pages that differ. *)
 
 val page_size : int
-(** Checkpoint granularity in bytes (4 KiB). *)
+(** Checkpoint and decode-state granularity in bytes (4 KiB). *)
+
+val page_shift : int
+(** [log2 page_size]: the page of segment offset [o] is [o lsr page_shift]. *)
 
 val snapshot : t -> snapshot
 (** Capture the segment. Costs a copy of the pages written since the
@@ -56,8 +59,9 @@ val restore : t -> snapshot -> unit
 (** Overwrite the segment with the snapshot bytes. Only pages that were
     written since the last snapshot or restore, or whose image differs
     from the snapshot's, are copied back; for exactly those pages the
-    cached decodes are dropped and every compiled block whose span
-    intersects them is invalidated (and counted in
+    decoded state is dropped outright (see {!decoded_pages}) and every
+    compiled block whose span intersects them — including one that
+    starts in the previous page — is invalidated (and counted in
     {!block_invalidations}). Decodes and blocks over untouched pages
     stay valid, since their bytes did not change. Restoring a snapshot
     taken from another segment of the same size copies every page
@@ -92,7 +96,9 @@ val exec_byte : t -> int -> int
 (** {1 Decoded instruction fetch}
 
     The segment keeps a lazily filled cache of decoded instructions,
-    one slot per [Isa.instr_size]-aligned window. Every store
+    one slot per [Isa.instr_size]-aligned window, allocated one
+    {!page_size} page at a time: only pages that are fetched from, or
+    that a compiled block spans, hold decode state. Every store
     ({!store_byte}, {!store_word}, {!store_bytes}, {!store_cstring})
     invalidates exactly the slots it overlaps, so self-modifying code
     and injected code are re-decoded (and re-tag-checked) on their next
@@ -106,6 +112,16 @@ val fetch_decoded : t -> int -> (int * Isa.t, Isa.decode_error) result
     [Isa.instr_size]-byte window is not fully mapped. Unaligned
     addresses (relative to the segment base) are decoded without
     caching. *)
+
+val decoded_pages : t -> int
+(** Pages that currently hold decode state: cached decodes, registered
+    blocks, or the tail of a block that starts in the previous page. A
+    page gains it on its first cached fetch or block registration and
+    loses it when a {!restore} rewrites the page; the {!Reference}
+    engine never creates any. *)
+
+val page_decoded : t -> int -> bool
+(** [page_decoded t p]: whether page [p] holds decode state. *)
 
 val fetch_reference : t -> int -> (int * Isa.t, Isa.decode_error) result
 (** The uncached reference fetch path: byte-at-a-time Execute-checked
@@ -134,7 +150,12 @@ val engine_to_string : engine -> string
 
 val default_engine : unit -> engine
 (** The engine newly created segments start in: [NV_ENGINE] when set to
-    a recognized name, otherwise {!Icache}. *)
+    a recognized name, otherwise {!Block}, the fastest tier. Each page
+    that holds executed code carries decode state: three 512-slot
+    arrays (12 KiB) plus the decoded instructions, about 40 KiB a page
+    on the httpd server under [Icache]; [Block] adds a 512-slot
+    compiled-block table and the compiled closures in the CPU, about
+    80 KiB a page in all. {!Reference} keeps none. *)
 
 (** {1 Compiled-block registry}
 
@@ -180,5 +201,5 @@ val invalidate_window : t -> int -> int -> unit
     maintenance for a write of [len] bytes at segment offset [off]:
     marks the touched pages dirty for the next {!snapshot}, drops
     overlapped icache slots and invalidates intersecting registered
-    blocks. O(1) for stores outside the decoded region: a dirty mark
-    per touched page and two compares. *)
+    blocks. O(1) for stores into pages without decode state: a dirty
+    mark and one load per touched page. *)

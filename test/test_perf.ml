@@ -19,8 +19,15 @@
      and the sliced-run equivalence.
    - Copy-on-write checkpoints: a model-based qcheck test of the page
      snapshot store, a three-engine lockstep rollback past a code
-     patch, and pins that a restore rewriting only data pages keeps
-     the code's decodes and compiled blocks.
+     patch, pins that a restore rewriting only data pages keeps the
+     code's decodes and compiled blocks, and a qcheck model running
+     the three engines in lockstep through random code stores,
+     checkpoints and restores over code that straddles a page.
+   - Page boundaries: decode state is allocated per page, so a block
+     that starts in one page and ends in the next must be invalidated
+     by a store into, or a restore of, the next page alone; injected
+     code must run in a page never decoded before; the reference
+     engine must create no decode state.
    - A pinned regression asserts the bench report's demand/monitor
      counters are byte-identical to the committed BENCH_results.json
      baseline. *)
@@ -37,8 +44,6 @@ let base = 0x10000
 let seg_size = 0x4000
 
 let code_len = 48 (* instructions *)
-
-let data_base = base + (code_len * Isa.instr_size)
 
 let data_size = 0x1000
 
@@ -58,11 +63,12 @@ let conds =
    values, r8/r9 pointers into the data region, r10 a pointer into the
    code region (the self-modifying-store target), r13 the stack
    pointer. *)
-let gen_instr prng =
+let gen_instr ?(code_base = base) prng =
+  let data_base = code_base + (code_len * Isa.instr_size) in
   let r () = Prng.int prng 8 in
   let data_reg () = 8 + Prng.int prng 2 in
   let small_off () = Prng.int prng 64 in
-  let code_target () = base + (Isa.instr_size * Prng.int prng code_len) in
+  let code_target () = code_base + (Isa.instr_size * Prng.int prng code_len) in
   match Prng.int prng 100 with
   | n when n < 18 -> Isa.Mov (r (), Isa.Imm (Prng.int prng 256))
   | n when n < 24 ->
@@ -88,19 +94,20 @@ let gen_instr prng =
   | n when n < 98 -> Isa.Jmpr (r ())
   | _ -> Isa.Syscall
 
-let build_cpu ~engine program =
+let build_cpu ?(code_base = base) ~engine program =
   let memory = Memory.create ~base ~size:seg_size in
   Array.iteri
     (fun i instr ->
       Memory.store_bytes memory
-        ~addr:(base + (i * Isa.instr_size))
+        ~addr:(code_base + (i * Isa.instr_size))
         (Isa.encode ~tag:0 instr))
     program;
   Memory.set_engine memory engine;
-  let cpu = Cpu.create memory ~pc:base ~sp:(base + seg_size) in
+  let cpu = Cpu.create memory ~pc:code_base ~sp:(base + seg_size) in
+  let data_base = code_base + (code_len * Isa.instr_size) in
   Cpu.set_reg cpu 8 (data_base + 64);
   Cpu.set_reg cpu 9 (data_base + 512);
-  Cpu.set_reg cpu 10 (base + (8 * Isa.instr_size));
+  Cpu.set_reg cpu 10 (code_base + (8 * Isa.instr_size));
   (cpu, memory)
 
 let trap_to_string = function
@@ -620,6 +627,258 @@ let test_restore_keeps_code_blocks () =
     (Memory.block_invalidations loaded.Image.memory > before)
 
 (* ------------------------------------------------------------------ *)
+(* Page boundaries: decode state is kept per page                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Two slots before the end of page 0: a block entered here ends in
+   page 1, so its registration reaches into that page's decode state. *)
+let straddle_entry = base + Memory.page_size - (2 * Isa.instr_size)
+
+let page_of memory addr = (addr - Memory.base memory) lsr Memory.page_shift
+
+let store_instr memory addr instr =
+  Memory.store_bytes memory ~addr (Isa.encode ~tag:0 instr)
+
+(* The block's first store rewrites the first instruction of page 1,
+   which the same block covers: the in-flight execution must bail out
+   after the store and run the new instruction, not the compiled one. *)
+let test_straddle_store_mid_block () =
+  let patch = Isa.encode ~tag:0 (Isa.Mov (3, Isa.Imm 42)) in
+  let program =
+    [| Isa.Store (1, 0, 2); Isa.Store (1, 4, 4); Isa.Mov (3, Isa.Imm 1); Isa.Halt |]
+  in
+  let run engine =
+    let cpu, memory = build_cpu ~code_base:straddle_entry ~engine program in
+    Cpu.set_reg cpu 1 (straddle_entry + (2 * Isa.instr_size));
+    Cpu.set_reg cpu 2 (le_word patch 0);
+    Cpu.set_reg cpu 4 (le_word patch 4);
+    run_to_halt cpu;
+    Alcotest.(check int) "patched instruction executed" 42 (Cpu.reg cpu 3);
+    (cpu, memory)
+  in
+  let reference, _ = run Memory.Reference in
+  List.iter
+    (fun engine ->
+      let cpu, _ = run engine in
+      check_lockstep_state ~seed:0 ~step:0 cpu reference)
+    [ Memory.Icache; Memory.Block ];
+  let _, memory = run Memory.Block in
+  Alcotest.(check bool) "the store invalidated the straddling block" true
+    (Memory.block_invalidations memory >= 1);
+  Alcotest.(check bool) "page 1 holds the block's tail" true
+    (Memory.page_decoded memory (page_of memory (straddle_entry + Memory.page_size)))
+
+let straddle_program =
+  [| Isa.Mov (3, Isa.Imm 1); Isa.Mov (5, Isa.Imm 2); Isa.Mov (6, Isa.Imm 3); Isa.Halt |]
+
+(* The address of [straddle_program]'s [mov r6, #3], the first
+   instruction of page 1. *)
+let straddle_tail = straddle_entry + (2 * Isa.instr_size)
+
+let test_straddle_host_store () =
+  let cpu, memory =
+    build_cpu ~code_base:straddle_entry ~engine:Memory.Block straddle_program
+  in
+  run_to_halt cpu;
+  let compiled, _, _ = Cpu.block_stats cpu in
+  Alcotest.(check int) "one block compiled" 1 compiled;
+  store_instr memory straddle_tail (Isa.Mov (6, Isa.Imm 9));
+  Alcotest.(check int) "a store into page 1 invalidates the block" 1
+    (Memory.block_invalidations memory);
+  Cpu.set_pc cpu straddle_entry;
+  run_to_halt cpu;
+  Alcotest.(check int) "the rewritten tail runs" 9 (Cpu.reg cpu 6)
+
+(* A snapshot holds the original program; the tail in page 1 is then
+   patched and the block compiled over the patch. The restore rewrites
+   page 1 only, so it must drop that page's decode state and invalidate
+   the block entered in page 0 that reaches into it: re-running must
+   see the original [mov r6, #3] again. *)
+let test_straddle_restore () =
+  let run engine =
+    let cpu, memory = build_cpu ~code_base:straddle_entry ~engine straddle_program in
+    let snap = Memory.snapshot memory in
+    store_instr memory straddle_tail (Isa.Mov (6, Isa.Imm 9));
+    run_to_halt cpu;
+    Alcotest.(check int) "patched tail ran" 9 (Cpu.reg cpu 6);
+    let before = Memory.block_invalidations memory in
+    Memory.restore memory snap;
+    let p = page_of memory straddle_tail in
+    Alcotest.(check bool) "page 1 decode state dropped" false
+      (Memory.page_decoded memory p);
+    Alcotest.(check bool) "page 0 decode state kept" (engine <> Memory.Reference)
+      (Memory.page_decoded memory (p - 1));
+    let dropped = Memory.block_invalidations memory - before in
+    Cpu.set_pc cpu straddle_entry;
+    run_to_halt cpu;
+    Alcotest.(check int) "the restored tail runs" 3 (Cpu.reg cpu 6);
+    dropped
+  in
+  Alcotest.(check int) "icache: no blocks" 0 (run Memory.Icache);
+  Alcotest.(check int) "reference: no blocks" 0 (run Memory.Reference);
+  Alcotest.(check int) "block: the straddling block is invalidated" 1 (run Memory.Block)
+
+(* The guest pushes [mov r5, #77; halt] onto its stack and jumps to it.
+   The stack page holds no decode state until the jump, and the
+   injected code must run under every engine; the reference engine
+   never creates decode state at all. *)
+let test_injected_stack_code () =
+  let mov = Isa.encode ~tag:0 (Isa.Mov (5, Isa.Imm 77)) in
+  let halt = Isa.encode ~tag:0 Isa.Halt in
+  let program =
+    [|
+      Isa.Mov (2, Isa.Imm (le_word mov 0));
+      Isa.Mov (3, Isa.Imm (le_word mov 4));
+      Isa.Mov (6, Isa.Imm (le_word halt 0));
+      Isa.Mov (7, Isa.Imm (le_word halt 4));
+      Isa.Push 7;
+      Isa.Push 6;
+      Isa.Push 3;
+      Isa.Push 2;
+      Isa.Jmpr 13;
+    |]
+  in
+  List.iter
+    (fun engine ->
+      let name = Memory.engine_to_string engine in
+      let cpu, memory = build_cpu ~engine program in
+      let stack_page = page_of memory (base + seg_size - 1) in
+      (match Cpu.run cpu ~fuel:(Array.length program) with
+      | Cpu.Out_of_fuel -> ()
+      | outcome ->
+        Alcotest.failf "%s: %s before the jump" name (outcome_to_string outcome));
+      Alcotest.(check bool) (name ^ ": stack page never decoded") false
+        (Memory.page_decoded memory stack_page);
+      run_to_halt cpu;
+      Alcotest.(check int) (name ^ ": injected code ran") 77 (Cpu.reg cpu 5);
+      Alcotest.(check bool) (name ^ ": stack page decoded") (engine <> Memory.Reference)
+        (Memory.page_decoded memory stack_page);
+      if engine = Memory.Reference then
+        Alcotest.(check int) "reference: no page holds decode state" 0
+          (Memory.decoded_pages memory))
+    all_engines
+
+(* Model-based lockstep across a page boundary: a random program whose
+   code straddles pages 0 and 1 runs under all three engines while
+   random host stores rewrite one to four of its instructions at a time
+   (sometimes across the boundary, sometimes with a wrong tag) and
+   random checkpoints are taken and restored. After every operation the
+   three machines must agree on outcome, registers, pc, retired count
+   and every byte of memory. *)
+let lockstep_code_base = base + Memory.page_size - (code_len / 2 * Isa.instr_size)
+
+type lockstep_op =
+  | Run of int  (* fuel *)
+  | Code_store of int * int * int  (* first code slot, instructions, seed *)
+  | Checkpoint
+  | Rollback of int  (* kept-checkpoint choice *)
+
+let show_lockstep_op = function
+  | Run fuel -> Printf.sprintf "run %d" fuel
+  | Code_store (k, n, seed) -> Printf.sprintf "code_store slot %d x%d seed %d" k n seed
+  | Checkpoint -> "checkpoint"
+  | Rollback k -> Printf.sprintf "rollback kept#%d" k
+
+let gen_lockstep_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map (fun fuel -> Run fuel) (int_range 1 9));
+      (* Up to four instructions in one store; half of the stores start
+         just before the page boundary (code slot [code_len / 2]), so
+         many of them cross it. *)
+      ( 3,
+        map3
+          (fun k n seed -> Code_store (k, min n (code_len - k), seed))
+          (oneof
+             [
+               int_bound (code_len - 1);
+               int_range ((code_len / 2) - 3) ((code_len / 2) - 1);
+             ])
+          (int_range 1 4)
+          (int_bound 1_000_000) );
+      (1, return Checkpoint);
+      (1, map (fun k -> Rollback k) (int_bound 1000));
+    ]
+
+let cpu_state cpu =
+  String.concat " "
+    (List.map string_of_int
+       (Cpu.pc cpu :: Cpu.instructions_retired cpu :: List.init 16 (Cpu.reg cpu)))
+
+let run_lockstep_model (seed, ops) =
+  let prng = Prng.create ~seed in
+  let code_base = lockstep_code_base in
+  let program = Array.init code_len (fun _ -> gen_instr ~code_base prng) in
+  let machines =
+    List.map (fun engine -> build_cpu ~code_base ~engine program) all_engines
+  in
+  let kept = ref [] in
+  let apply = function
+    | Run fuel ->
+      List.map (fun (cpu, _) -> outcome_to_string (Cpu.run cpu ~fuel)) machines
+    | Code_store (k, n, seed) ->
+      let prng = Prng.create ~seed in
+      let tag = if seed mod 5 = 0 then 1 else 0 in
+      let code =
+        Bytes.concat Bytes.empty
+          (List.init n (fun _ -> Isa.encode ~tag (gen_instr ~code_base prng)))
+      in
+      List.iter
+        (fun (_, memory) ->
+          Memory.store_bytes memory ~addr:(code_base + (k * Isa.instr_size)) code)
+        machines;
+      []
+    | Checkpoint ->
+      kept :=
+        List.map (fun (cpu, memory) -> (Cpu.snapshot cpu, Memory.snapshot memory)) machines
+        :: !kept;
+      []
+    | Rollback k ->
+      (match !kept with
+      | [] -> ()
+      | l ->
+        List.iter2
+          (fun (cpu, memory) (cs, ms) ->
+            Cpu.restore cpu cs;
+            Memory.restore memory ms)
+          machines
+          (List.nth l (k mod List.length l)));
+      []
+  in
+  let agree xs = List.for_all (String.equal (List.hd xs)) xs in
+  List.iteri
+    (fun step op ->
+      let outcomes = apply op in
+      let states = List.map (fun (cpu, _) -> cpu_state cpu) machines in
+      let dumps =
+        List.map
+          (fun (_, m) -> Bytes.to_string (Memory.load_bytes m ~addr:base ~len:seg_size))
+          machines
+      in
+      if outcomes <> [] && not (agree outcomes) then
+        QCheck.Test.fail_reportf "step %d (%s): outcomes %s" step (show_lockstep_op op)
+          (String.concat " / " outcomes);
+      if not (agree states) then
+        QCheck.Test.fail_reportf "step %d (%s): states\n%s" step (show_lockstep_op op)
+          (String.concat "\n" states);
+      if not (agree dumps) then
+        QCheck.Test.fail_reportf "step %d (%s): memories differ" step (show_lockstep_op op))
+    ops;
+  let _, reference_memory = List.hd machines in
+  Memory.decoded_pages reference_memory = 0
+
+let prop_lockstep_across_page_boundary =
+  QCheck.Test.make ~name:"three engines agree over code stores and restores across a page"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (seed, ops) ->
+         Printf.sprintf "seed %d: %s" seed
+           (String.concat "; " (List.map show_lockstep_op ops)))
+       QCheck.Gen.(pair (int_bound 1_000_000) (list_size (int_range 1 60) gen_lockstep_op)))
+    run_lockstep_model
+
+(* ------------------------------------------------------------------ *)
 (* Pinned bench counters                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -693,6 +952,17 @@ let () =
             test_restore_keeps_code_decodes;
           Alcotest.test_case "data-only restore keeps compiled blocks" `Quick
             test_restore_keeps_code_blocks;
+          QCheck_alcotest.to_alcotest prop_lockstep_across_page_boundary;
+        ] );
+      ( "page boundaries",
+        [
+          Alcotest.test_case "store mid-block into the next page" `Quick
+            test_straddle_store_mid_block;
+          Alcotest.test_case "host store into the next page" `Quick
+            test_straddle_host_store;
+          Alcotest.test_case "restore of the next page only" `Quick test_straddle_restore;
+          Alcotest.test_case "injected code in an undecoded stack page" `Quick
+            test_injected_stack_code;
         ] );
       ( "pinned bench counters",
         [

@@ -18,6 +18,7 @@ module Nsystem = Nv_core.Nsystem
 module Supervisor = Nv_core.Supervisor
 module Deploy = Nv_httpd.Deploy
 module Http = Nv_httpd.Http
+module Site = Nv_httpd.Site
 module Campaign = Nv_attacks.Campaign
 module Faultgen = Nv_attacks.Faultgen
 module Payloads = Nv_attacks.Payloads
@@ -321,6 +322,51 @@ let test_rollback_to_initial () =
       Buffer.add_string b (String.escaped after);
       Buffer.contents b)
 
+(* Decode state is kept per 4 KiB page, only where code was fetched or
+   compiled. On the warm supervised config4 server every variant holds it
+   for at most the pages its code spans. A stack code injection executes
+   bytes in the request buffer (which shares the last code page); its
+   rollback rewrites that page and drops its decode state, and the
+   server's return to the accept park decodes the code there again, so
+   the count is back where it was. *)
+let test_decoded_pages_footprint () =
+  (match Sys.getenv_opt "NV_ENGINE" with
+  | None ->
+    Alcotest.(check string) "default engine" "block"
+      (Memory.engine_to_string (Memory.default_engine ()))
+  | Some _ -> ());
+  let decoding = Memory.default_engine () <> Memory.Reference in
+  let decoded sys =
+    let monitor = Nsystem.monitor sys in
+    List.init (Monitor.variant_count monitor) (fun i ->
+        Memory.decoded_pages (Monitor.loaded monitor i).Image.memory)
+  in
+  let sys = build_deploy ~recover:Supervisor.default_config ~parallel:false () in
+  Array.iter
+    (fun path -> ignore (expect_200 path (Nsystem.serve sys (Http.get path))))
+    Site.request_mix;
+  let monitor = Nsystem.monitor sys in
+  let warm = decoded sys in
+  List.iteri
+    (fun i pages ->
+      let { Image.memory; layout; _ } = Monitor.loaded monitor i in
+      let page addr = (addr - Memory.base memory) lsr Memory.page_shift in
+      let code_pages =
+        page (layout.Image.data_start - 1) - page layout.Image.code_start + 1
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "variant %d: %d decoded pages, code spans %d" i pages code_pages)
+        true
+        (pages <= code_pages && (pages > 0) = decoding))
+    warm;
+  let tag = (Nsystem.variation sys).Nv_core.Variation.variants.(0).Nv_core.Variation.tag in
+  ignore (Nsystem.serve sys (Payloads.code_injection_request sys ~tag));
+  Alcotest.(check int) "the injection was rolled back" 1
+    (Supervisor.recoveries (supervisor_of sys));
+  Alcotest.(check (list int)) "decoded pages after the rollback" warm (decoded sys);
+  ignore (expect_200 "post-recovery benign" (Nsystem.serve sys benign));
+  Alcotest.(check (list int)) "decoded pages after the next request" warm (decoded sys)
+
 let test_out_of_fuel_passthrough () =
   let sys = build_deploy ~recover:Supervisor.default_config ~parallel:false () in
   match Nsystem.run ~fuel:5 sys with
@@ -510,6 +556,7 @@ let () =
           Alcotest.test_case "zero budget is fail-stop" `Quick test_zero_budget_is_failstop;
           Alcotest.test_case "rollback to initial" `Quick test_rollback_to_initial;
           Alcotest.test_case "out-of-fuel passthrough" `Quick test_out_of_fuel_passthrough;
+          Alcotest.test_case "decoded pages footprint" `Quick test_decoded_pages_footprint;
         ] );
       ( "campaign",
         [

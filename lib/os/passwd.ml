@@ -77,53 +77,51 @@ let lookup_uid entries uid = List.find_opt (fun e -> e.uid = uid) entries
 
 (* The linear scans above are fine for the five-entry sample database
    but O(n) per request once the population reaches fleet scale. The
-   index keeps a hashtable by name and a uid-sorted array for binary
-   search, preserving the first-match-in-file-order semantics of the
-   scans (duplicate names/uids resolve to the earliest entry). *)
+   index is the distinct uids, sorted and unboxed for bisection, beside
+   the earliest file entry carrying each (the scans' first match). *)
 
 type index = {
-  by_name : (string, entry) Hashtbl.t;
-  by_uid : entry array;  (* uid-sorted, earliest file entry per uid *)
+  uids : int array;  (* sorted, distinct *)
+  by_uid : entry array;  (* by_uid.(k): earliest file entry with uid uids.(k) *)
   mutable comparisons : int;
 }
 
 let index entries =
-  let by_name = Hashtbl.create (max 16 (List.length entries)) in
-  List.iter
-    (fun e -> if not (Hashtbl.mem by_name e.name) then Hashtbl.add by_name e.name e)
-    entries;
-  let tagged = Array.of_list (List.mapi (fun i e -> (i, e)) entries) in
-  Array.sort
-    (fun (i1, e1) (i2, e2) ->
-      match Int.compare e1.uid e2.uid with 0 -> Int.compare i1 i2 | c -> c)
-    tagged;
-  let keep = ref [] in
+  let entries = Array.of_list entries in
+  let keys = Array.map (fun e -> e.uid) entries in
+  let order = Array.init (Array.length entries) Fun.id in
+  (* Stable: equal uids keep file order, so each run starts with the
+     entry [lookup_uid] returns. *)
+  Array.stable_sort (fun i j -> Int.compare keys.(i) keys.(j)) order;
+  let kept = ref 0 in
   Array.iter
-    (fun (_, e) ->
-      match !keep with
-      | prev :: _ when prev.uid = e.uid -> ()
-      | _ -> keep := e :: !keep)
-    tagged;
-  { by_name; by_uid = Array.of_list (List.rev !keep); comparisons = 0 }
-
-let find idx name =
-  idx.comparisons <- idx.comparisons + 1;
-  Hashtbl.find_opt idx.by_name name
+    (fun i ->
+      if !kept = 0 || keys.(order.(!kept - 1)) <> keys.(i) then begin
+        order.(!kept) <- i;
+        incr kept
+      end)
+    order;
+  let order = Array.sub order 0 !kept in
+  {
+    uids = Array.map (fun i -> keys.(i)) order;
+    by_uid = Array.map (fun i -> entries.(i)) order;
+    comparisons = 0;
+  }
 
 let find_uid idx uid =
-  let a = idx.by_uid in
-  let lo = ref 0 and hi = ref (Array.length a - 1) and found = ref None in
-  while !found = None && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    idx.comparisons <- idx.comparisons + 1;
-    let c = Int.compare a.(mid).uid uid in
-    if c = 0 then found := Some a.(mid)
-    else if c < 0 then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
+  let rec bisect lo hi =
+    if lo > hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      idx.comparisons <- idx.comparisons + 1;
+      let k = idx.uids.(mid) in
+      if k = uid then Some idx.by_uid.(mid)
+      else if k < uid then bisect (mid + 1) hi
+      else bisect lo (mid - 1)
+  in
+  bisect 0 (Array.length idx.uids - 1)
 
-let index_size idx = Array.length idx.by_uid
+let index_size idx = Array.length idx.uids
 
 let comparisons idx = idx.comparisons
 

@@ -29,23 +29,27 @@ val parse_group : string -> (group_entry list, string) result
 val serialize_group : group_entry list -> string
 
 val lookup : entry list -> string -> entry option
-(** Find an entry by user name (linear scan; the reference semantics
-    for {!find}). *)
+(** Find an entry by user name (linear scan). *)
 
 val lookup_uid : entry list -> Cred.uid -> entry option
+(** Find an entry by uid (linear scan; the reference semantics for
+    {!find_uid}). *)
 
 (** {1 Indexed lookup}
 
-    O(1)/O(log n) lookups over large populations: a hashtable by name
-    and a uid-sorted array searched by bisection. Agrees with
-    {!lookup}/{!lookup_uid} on any entry list, including ones with
-    duplicate names or uids (first entry in file order wins). *)
+    O(log n) lookups by uid over large populations; there is no index
+    by name. The index holds the distinct uids as a sorted, unboxed
+    [int array], searched by bisection, beside the earliest entry in
+    file order for each. Agrees with {!lookup_uid} on any entry list,
+    including ones with duplicate uids (first entry in file order
+    wins). *)
 
 type index
 
 val index : entry list -> index
-
-val find : index -> string -> entry option
+(** O(n log n): one stable sort of entry positions keyed on an unboxed
+    copy of the uids, then one linear pass keeping the first entry of
+    each uid. *)
 
 val find_uid : index -> Cred.uid -> entry option
 
@@ -53,9 +57,9 @@ val index_size : index -> int
 (** Distinct uids in the index. *)
 
 val comparisons : index -> int
-(** Cumulative key comparisons spent by {!find}/{!find_uid} since the
-    index was built — lets tests pin that per-lookup work stays
-    O(log n) rather than O(n). *)
+(** Cumulative key comparisons spent by {!find_uid} (one per bisection
+    probe) since the index was built — lets tests pin that per-lookup
+    work stays O(log n) rather than O(n). *)
 
 val generate : ?seed:int -> int -> entry list
 (** [generate n] is a synthetic population of [n] users with distinct

@@ -68,5 +68,8 @@ val run :
     generate a million-entry population once and reuse it across
     arrival models — else {!population} of [spec.users]); the
     comparisons it spends are charged to that request's service time.
+    Every call builds its own {!Nv_os.Passwd.index} over that
+    population (O(n log n), nothing is cached across calls), so the
+    comparison count of one call never depends on another.
     [trace] is handed to {!Nv_sim.Fleet.run} for flight-recorder rings.
     Raises [Invalid_argument] on empty [samples]. *)

@@ -71,6 +71,26 @@ let test_arrivals_rate () =
         Alcotest.failf "%s long-run rate %.1f req/s not near 250" name rate)
     models
 
+let test_arrivals_bursty_clamped_rate () =
+  (* When a burst occupies more than 95% of its cycle, the inter-burst
+     gap is clamped to 5% of the cycle and the delivered rate falls
+     well short of the configured one. 5750/s in bursts of 16 spaced
+     0.5 ms apart occupies 7.5 ms of a 2.78 ms cycle: the process
+     delivers 16 / (0.05 * 2.78 ms + 7.5 ms), about 2094/s. *)
+  let rate = 5750.0 and burst_mean = 16.0 and intra_gap_s = 0.0005 in
+  let cycle = burst_mean /. rate in
+  let delivered = burst_mean /. ((0.05 *. cycle) +. ((burst_mean -. 1.0) *. intra_gap_s)) in
+  let model = Arrivals.Bursty { rate; burst_mean; intra_gap_s } in
+  List.iter
+    (fun seed ->
+      let n = 60_000 in
+      let span = List.nth (times ~seed ~n model) (n - 1) in
+      let measured = float_of_int n /. span in
+      if Float.abs (measured -. delivered) > 0.05 *. delivered then
+        Alcotest.failf "seed %d: bursty clamped rate %.0f/s not near %.0f/s" seed
+          measured delivered)
+    [ 11; 12; 13 ]
+
 (* ------------------------------------------------------------------ *)
 (* Fleet balancer                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -271,6 +291,23 @@ let test_openload_sublinear_lookups () =
   Alcotest.(check bool) "population = samples + users" true
     (result.Openload.population > openload_spec.Openload.users)
 
+let test_openload_pinned_counts () =
+  (* Pinned: the lookup work and the fleet outcome of one small run.
+     Each comparison is charged to the request's service time, so a
+     change to the index's bisection (its midpoint, or its count of one
+     per probe) fails here, not only as a changed benchmark digest. *)
+  let result = run_openload ~parallel:false in
+  let r = result.Openload.fleet in
+  Alcotest.(check (list int))
+    "comparisons, lookups, completed, rejected, dropped" [ 4505; 406; 406; 0; 0 ]
+    [
+      result.Openload.comparisons;
+      result.Openload.lookups;
+      r.Fleet.completed;
+      r.Fleet.rejected;
+      r.Fleet.dropped;
+    ]
+
 let () =
   Alcotest.run "fleet"
     [
@@ -280,6 +317,8 @@ let () =
             test_arrivals_deterministic;
           Alcotest.test_case "strictly increasing" `Quick test_arrivals_monotone;
           Alcotest.test_case "long-run rate" `Quick test_arrivals_rate;
+          Alcotest.test_case "bursty clamped rate" `Quick
+            test_arrivals_bursty_clamped_rate;
         ] );
       ( "balancer",
         [
@@ -300,5 +339,7 @@ let () =
             test_openload_seq_par_identical;
           Alcotest.test_case "indexed lookups stay sublinear" `Quick
             test_openload_sublinear_lookups;
+          Alcotest.test_case "pinned lookup and fleet counts" `Quick
+            test_openload_pinned_counts;
         ] );
     ]
